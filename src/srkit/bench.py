@@ -31,15 +31,18 @@ class BenchResult:
         return 100.0 * (self.t_sr_ms - self.t_plain_ms) / self.t_plain_ms
 
 
-def _median_time(fn, repeats: int) -> float:
+def _median_forward_ms(variants, x: np.ndarray, repeats: int) -> list[float]:
+    """Median eval-forward ms per params, timed in turns so drift hits all alike."""
     for _ in range(3):  # warm allocators and caches before timing
-        fn()
-    times = []
+        for params in variants:
+            host_forward(params, x, "eval")
+    times = [[] for _ in variants]
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - t0) * 1000.0)
-    return statistics.median(times)
+        for params, params_times in zip(variants, times):
+            t0 = time.perf_counter()
+            host_forward(params, x, "eval")
+            params_times.append((time.perf_counter() - t0) * 1000.0)
+    return [statistics.median(t) for t in times]
 
 
 def run_bench(
@@ -61,7 +64,4 @@ def run_bench(
         trained_like.sr.memory.shape, dtype=np.float32
     )
 
-    t_plain = _median_time(lambda: host_forward(plain, x, "eval"), repeats)
-    t_zero = _median_time(lambda: host_forward(zero_mem, x, "eval"), repeats)
-    t_sr = _median_time(lambda: host_forward(trained_like, x, "eval"), repeats)
-    return BenchResult(t_plain, t_zero, t_sr)
+    return BenchResult(*_median_forward_ms((plain, zero_mem, trained_like), x, repeats))

@@ -29,7 +29,8 @@ toy run: SR after stage 3 with channel dropout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from .data import SynthSpec
 from .errors import ConfigError
@@ -46,6 +47,7 @@ _HOST_DEFAULTS = {
     "sr_insert": 3,
     "dropout_kind": "channel",
     "dropout_p": 0.1,
+    "sr": None,
 }
 _SR_DEFAULTS = {
     "c": None,
@@ -144,16 +146,23 @@ def _merge_section(given: dict, defaults: dict, prefix: str) -> dict:
     if not isinstance(given, dict):
         raise ConfigError(f"config section {prefix!r} must be an object")
     for key in given:
-        if key not in defaults and key != "sr":
+        if key not in defaults:
             raise ConfigError(f"unknown config key: {prefix}.{key}")
-    merged = dict(defaults)
-    merged.update({k: v for k, v in given.items() if k != "sr"})
-    return merged
+    return {**defaults, **given}
 
 
 def _expect(cond: bool, key: str, why: str) -> None:
     if not cond:
         raise ConfigError(f"invalid value for {key}: {why}")
+
+
+def _number(value, kind: type, key: str):
+    """A JSON number as a finite ``kind`` (int or float); a bool, a string or
+    a fraction where an int is due raises ConfigError naming the key."""
+    ok = type(value) is int or (type(value) is float and (
+        value.is_integer() if kind is int else math.isfinite(value)))
+    _expect(ok, key, f"expected a finite {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -164,18 +173,9 @@ def parse_config(doc: dict) -> RunConfig:
         if key not in ("host", "train", "data"):
             raise ConfigError(f"unknown config key: {key}")
 
-    host_doc = doc.get("host", {})
-    h = _merge_section(host_doc, _HOST_DEFAULTS, "host")
-    sr_doc = host_doc.get("sr", {}) if isinstance(host_doc, dict) else {}
-    if sr_doc is None:
-        sr_doc = {}
-    if not isinstance(sr_doc, dict):
-        raise ConfigError("config section 'host.sr' must be an object")
-    for key in sr_doc:
-        if key not in _SR_DEFAULTS:
-            raise ConfigError(f"unknown config key: host.sr.{key}")
-    s = dict(_SR_DEFAULTS)
-    s.update(sr_doc)
+    h = _merge_section(doc.get("host", {}), _HOST_DEFAULTS, "host")
+    sr_doc = {} if h["sr"] is None else h["sr"]
+    s = _merge_section(sr_doc, _SR_DEFAULTS, "host.sr")
 
     t = _merge_section(doc.get("train", {}), _TRAIN_DEFAULTS, "train")
     d = _merge_section(doc.get("data", {}), _DATA_DEFAULTS, "data")
@@ -186,23 +186,25 @@ def parse_config(doc: dict) -> RunConfig:
         "host.stage_channels",
         "must be a list of 4 counts",
     )
-    stage_channels = tuple(int(c) for c in h["stage_channels"])
+    stage_channels = tuple(
+        _number(c, int, "host.stage_channels") for c in h["stage_channels"]
+    )
 
     sr_insert = h["sr_insert"]
     if sr_insert is not None:
-        sr_insert = int(sr_insert)
+        sr_insert = _number(sr_insert, int, "host.sr_insert")
 
     # Build a provisional host to trace stage shapes for sr.c/h/w defaults.
     base = HostConfig(
         stage_channels=stage_channels,
-        in_channels=int(h["in_channels"]),
-        in_h=int(h["in_h"]),
-        in_w=int(h["in_w"]),
-        classes=int(h["classes"]),
+        in_channels=_number(h["in_channels"], int, "host.in_channels"),
+        in_h=_number(h["in_h"], int, "host.in_h"),
+        in_w=_number(h["in_w"], int, "host.in_w"),
+        classes=_number(h["classes"], int, "host.classes"),
         sr_insert=sr_insert,
         sr=None,
         dropout_kind=str(h["dropout_kind"]),
-        dropout_p=float(h["dropout_p"]),
+        dropout_p=_number(h["dropout_p"], float, "host.dropout_p"),
     )
     sr_cfg = None
     explicit_sr = any(s[k] is not None for k in ("c", "h", "w")) or bool(sr_doc)
@@ -218,26 +220,16 @@ def parse_config(doc: dict) -> RunConfig:
         _expect(hh is not None, "host.sr.h", "required when sr_insert is null")
         _expect(ww is not None, "host.sr.w", "required when sr_insert is null")
         sr_cfg = SRConfig(
-            c=int(c),
-            h=int(hh),
-            w=int(ww),
-            u=int(s["u"]),
-            p=int(s["p"]),
+            c=_number(c, int, "host.sr.c"),
+            h=_number(hh, int, "host.sr.h"),
+            w=_number(ww, int, "host.sr.w"),
+            u=_number(s["u"], int, "host.sr.u"),
+            p=_number(s["p"], int, "host.sr.p"),
             hidden_relu=bool(s["hidden_relu"]),
             allow_off_grid=bool(s["allow_off_grid"]),
         ).validate()
 
-    host_cfg = HostConfig(
-        stage_channels=base.stage_channels,
-        in_channels=base.in_channels,
-        in_h=base.in_h,
-        in_w=base.in_w,
-        classes=base.classes,
-        sr_insert=sr_insert,
-        sr=sr_cfg,
-        dropout_kind=base.dropout_kind,
-        dropout_p=base.dropout_p,
-    ).validate()
+    host_cfg = replace(base, sr=sr_cfg).validate()
 
     decay = t["decay_epochs"]
     if decay is not None:
@@ -246,30 +238,32 @@ def parse_config(doc: dict) -> RunConfig:
             "train.decay_epochs",
             "must be a list of epochs or null",
         )
-        decay = tuple(int(e) for e in decay)
+        decay = tuple(_number(e, int, "train.decay_epochs") for e in decay)
     train_cfg = TrainConfig(
-        lr0=float(t["lr0"]),
-        momentum=float(t["momentum"]),
-        weight_decay=float(t["weight_decay"]),
-        lr_decay_factor=float(t["lr_decay_factor"]),
+        lr0=_number(t["lr0"], float, "train.lr0"),
+        momentum=_number(t["momentum"], float, "train.momentum"),
+        weight_decay=_number(t["weight_decay"], float, "train.weight_decay"),
+        lr_decay_factor=_number(t["lr_decay_factor"], float, "train.lr_decay_factor"),
         decay_epochs=decay,
-        epochs=int(t["epochs"]),
-        batch=int(t["batch"]),
-        early_stop_patience=int(t["early_stop_patience"]),
+        epochs=_number(t["epochs"], int, "train.epochs"),
+        batch=_number(t["batch"], int, "train.batch"),
+        early_stop_patience=_number(
+            t["early_stop_patience"], int, "train.early_stop_patience"
+        ),
         flip_augment=bool(t["flip_augment"]),
         decay_memory=bool(t["decay_memory"]),
-        seed=int(t["seed"]),
+        seed=_number(t["seed"], int, "train.seed"),
     ).validate()
 
     spec = SynthSpec(
-        classes=int(d["classes"]),
-        per_class=int(d["per_class"]),
-        per_class_test=int(d["per_class_test"]),
-        channels=int(d["channels"]),
-        h=int(d["h"]),
-        w=int(d["w"]),
-        noise_sigma=float(d["noise_sigma"]),
-        seed=int(d["seed"]),
+        classes=_number(d["classes"], int, "data.classes"),
+        per_class=_number(d["per_class"], int, "data.per_class"),
+        per_class_test=_number(d["per_class_test"], int, "data.per_class_test"),
+        channels=_number(d["channels"], int, "data.channels"),
+        h=_number(d["h"], int, "data.h"),
+        w=_number(d["w"], int, "data.w"),
+        noise_sigma=_number(d["noise_sigma"], float, "data.noise_sigma"),
+        seed=_number(d["seed"], int, "data.seed"),
     ).validate()
 
     return RunConfig(host=host_cfg, train=train_cfg, data=spec)

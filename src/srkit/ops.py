@@ -5,11 +5,13 @@ Every op is a pure function: arrays in, arrays out, no hidden state. Each
 validated against central finite differences in the test suite and the
 ``gradcheck`` harness.
 
-Determinism contract: accumulation orders are fixed (ascending channel,
-then row, then column; 3x3 taps in ascending (di, dj) order), so identical
-inputs produce bit-identical outputs run to run. ``conv1x1_fwd`` in
-particular accumulates channels left to right and therefore matches a
-naive per-element loop bit for bit.
+Determinism contract: identical inputs produce bit-identical outputs run
+to run on one machine with one BLAS thread count. The 3x3 convolutions
+are GEMMs over an im2col patch matrix, so their summation order is the
+BLAS kernel's, which depends on the CPU and the thread count; across
+machines they agree to rounding, not to the bit. ``conv1x1_fwd``
+accumulates channels left to right without BLAS and therefore matches a
+naive per-element loop bit for bit everywhere.
 
 Ops preserve the input dtype: float32 in production, float64 when a
 finite-difference oracle reruns them on upcast copies.
@@ -18,6 +20,7 @@ finite-difference oracle reruns them on upcast copies.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, NumericError
 from .tensor import check_axis, check_nchw
@@ -30,8 +33,8 @@ from .tensor import check_axis, check_nchw
 def conv1x1_fwd(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Compress channels: out[n,0,i,j] = sum_ch weight[ch] * x[n,ch,i,j].
 
-    Products are rounded once per element, then accumulated strictly in
-    ascending channel order (``add.accumulate`` is sequential, unlike the
+    Products are rounded once per element and added in place into one
+    (n,1,h,w) accumulator strictly in ascending channel order (unlike the
     pairwise ``sum``), so the result is bit-identical to a scalar loop.
     """
     n, c, h, w = check_nchw(x)
@@ -39,8 +42,10 @@ def conv1x1_fwd(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"weight: channel axis is {weight.shape}, expected ({c},)"
         )
-    products = weight[None, :, None, None] * x
-    return np.add.accumulate(products, axis=1)[:, c - 1 : c]
+    out = weight[0] * x[:, 0:1]
+    for ch in range(1, c):
+        out += weight[ch] * x[:, ch : ch + 1]
+    return out
 
 
 def conv1x1_bwd(
@@ -118,10 +123,6 @@ def softmax_bwd(probs: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 # 3x3 convolution, padding 1, stride 1 or 2, bias-free
 # ---------------------------------------------------------------------------
 
-def _conv3x3_out_extent(extent: int, stride: int) -> int:
-    return (extent + 2 - 3) // stride + 1
-
-
 def _check_conv3x3(x: np.ndarray, weight: np.ndarray, stride: int):
     n, c, h, w = check_nchw(x)
     if weight.ndim != 4 or weight.shape[2:] != (3, 3):
@@ -129,50 +130,55 @@ def _check_conv3x3(x: np.ndarray, weight: np.ndarray, stride: int):
     check_axis(weight.shape[1], c, "channel", "weight")
     if stride not in (1, 2):
         raise ConfigError(f"stride must be 1 or 2, got {stride}")
-    return n, c, h, w, weight.shape[0]
+    return n, c, h, w, weight.shape[0], (h - 1) // stride + 1, (w - 1) // stride + 1
+
+
+# Samples per patch matrix: keeps it cache-sized and peak memory flat in n.
+_CHUNK = 16
+
+
+def _conv3x3_patches(x: np.ndarray, stride: int) -> np.ndarray:
+    """im2col: the contiguous (n, c*9, oh*ow) patch matrix of the zero-padded
+    input, rows in (channel, di, dj) order like weight.reshape(o, c*9)."""
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], x.shape[1] * 9, -1)
 
 
 def conv3x3_fwd(x: np.ndarray, weight: np.ndarray, stride: int = 1) -> np.ndarray:
-    """3x3 convolution with zero padding 1; taps accumulate in (di, dj) order."""
-    n, c, h, w, o = _check_conv3x3(x, weight, stride)
-    oh, ow = _conv3x3_out_extent(h, stride), _conv3x3_out_extent(w, stride)
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    out = np.zeros((n, o, oh, ow), dtype=x.dtype)
-    for di in range(3):
-        for dj in range(3):
-            xs = xp[:, :, di : di + (oh - 1) * stride + 1 : stride,
-                    dj : dj + (ow - 1) * stride + 1 : stride]
-            # (o,c) x (n,c,oh,ow) -> (o,n,oh,ow)
-            t = np.tensordot(weight[:, :, di, dj], xs, axes=([1], [1]))
-            out += t.transpose(1, 0, 2, 3)
-    return out
+    """3x3 convolution with zero padding 1: one GEMM per chunk of patches."""
+    n, c, h, w, o, oh, ow = _check_conv3x3(x, weight, stride)
+    w2 = weight.reshape(o, c * 9)
+    out = np.empty((n, o, oh * ow), dtype=x.dtype)
+    for b in range(0, n, _CHUNK):
+        out[b : b + _CHUNK] = w2 @ _conv3x3_patches(x[b : b + _CHUNK], stride)
+    return out.reshape(n, o, oh, ow)
 
 
 def conv3x3_bwd(
     x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray, stride: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint of conv3x3_fwd; scatter back through the same tap order."""
-    n, c, h, w, o = _check_conv3x3(x, weight, stride)
-    oh, ow = _conv3x3_out_extent(h, stride), _conv3x3_out_extent(w, stride)
+    """Adjoint of conv3x3_fwd: two GEMMs per chunk, then col2im over the taps."""
+    n, c, h, w, o, oh, ow = _check_conv3x3(x, weight, stride)
     if grad_out.shape != (n, o, oh, ow):
         raise DimensionError(
             f"grad_out: shape is {grad_out.shape}, expected {(n, o, oh, ow)}"
         )
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    grad_xp = np.zeros_like(xp)
-    grad_w = np.empty_like(weight)
-    for di in range(3):
-        for dj in range(3):
-            rows = slice(di, di + (oh - 1) * stride + 1, stride)
-            cols = slice(dj, dj + (ow - 1) * stride + 1, stride)
-            xs = xp[:, :, rows, cols]
-            grad_w[:, :, di, dj] = np.tensordot(
-                grad_out, xs, axes=([0, 2, 3], [0, 2, 3])
-            )
-            # (n,o,oh,ow) x (o,c) -> (n,oh,ow,c)
-            t = np.tensordot(grad_out, weight[:, :, di, dj], axes=([1], [0]))
-            grad_xp[:, :, rows, cols] += t.transpose(0, 3, 1, 2)
-    return grad_xp[:, :, 1 : 1 + h, 1 : 1 + w], grad_w
+    w2 = weight.reshape(o, c * 9)
+    grad_w = np.zeros_like(w2)
+    grad_xp = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
+    for b in range(0, n, _CHUNK):
+        g = grad_out[b : b + _CHUNK].reshape(-1, o, oh * ow)
+        cols = _conv3x3_patches(x[b : b + _CHUNK], stride)
+        grad_w += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+        del cols  # release the patches before col2im allocates
+        grad_cols = np.matmul(w2.T, g).reshape(-1, c, 3, 3, oh, ow)
+        gx = grad_xp[b : b + _CHUNK]
+        for di in range(3):
+            for dj in range(3):
+                gx[:, :, di : di + (oh - 1) * stride + 1 : stride,
+                   dj : dj + (ow - 1) * stride + 1 : stride] += grad_cols[:, :, di, dj]
+    return grad_xp[:, :, 1 : 1 + h, 1 : 1 + w], grad_w.reshape(weight.shape)
 
 
 # ---------------------------------------------------------------------------

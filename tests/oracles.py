@@ -92,6 +92,31 @@ def conv3x3_loops(x: np.ndarray, weight: np.ndarray, stride: int) -> np.ndarray:
     return out
 
 
+def conv3x3_bwd_loops(
+    x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray, stride: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint of conv3x3_loops by direct scatter, in float64: each output
+    gradient flows back through the nine taps that produced that output."""
+    n, c, h, w = x.shape
+    _, o, oh, ow = grad_out.shape
+    xp = np.zeros((n, c, h + 2, w + 2), dtype=np.float64)
+    xp[:, :, 1:-1, 1:-1] = x
+    grad_xp = np.zeros_like(xp)
+    grad_w = np.zeros(weight.shape, dtype=np.float64)
+    for b in range(n):
+        for oc in range(o):
+            for i in range(oh):
+                for j in range(ow):
+                    g = float(grad_out[b, oc, i, j])
+                    for ic in range(c):
+                        for di in range(3):
+                            for dj in range(3):
+                                r, q = i * stride + di, j * stride + dj
+                                grad_w[oc, ic, di, dj] += g * xp[b, ic, r, q]
+                                grad_xp[b, ic, r, q] += g * float(weight[oc, ic, di, dj])
+    return grad_xp[:, :, 1:-1, 1:-1], grad_w
+
+
 def channel_mean_loops(block: np.ndarray) -> np.ndarray:
     """Mean over the channel axis of one (c, h, w) memory block."""
     c, h, w = block.shape

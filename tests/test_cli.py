@@ -73,6 +73,11 @@ class TestTrain:
         assert run_cli(["train", cfg, str(tmp_path / "x"), str(tmp_path / "y")]) == 2
         assert "train.learning_rate" in capsys.readouterr().err
 
+    def test_non_numeric_value_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"train": {"lr0": "abc"}})
+        assert run_cli(["train", cfg, str(tmp_path / "x"), str(tmp_path / "y")]) == 2
+        assert "train.lr0" in capsys.readouterr().err
+
     def test_missing_config_exit_3(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert run_cli(["train", missing, str(tmp_path / "x"), str(tmp_path / "y")]) == 3

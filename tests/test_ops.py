@@ -14,6 +14,7 @@ from srkit.rng import make_rng
 
 from oracles import (
     conv1x1_loops,
+    conv3x3_bwd_loops,
     conv3x3_loops,
     fd_gradient,
     matmul_loops,
@@ -188,6 +189,43 @@ class TestConv3x3:
     def test_bad_grad_shape(self, rng):
         with pytest.raises(DimensionError):
             ops.conv3x3_bwd(u(rng, 1, 2, 4, 4), u(rng, 2, 2, 3, 3), u(rng, 1, 2, 3, 3), 1)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize(
+        # the last batch is split over two chunks of the patch matrix
+        "shape", [(2, 3, 5, 4), (2, 3, 7, 7), (2, 1, 5, 4), (ops._CHUNK + 2, 1, 5, 4)]
+    )
+    def test_bwd_matches_loop_oracle(self, rng, shape, stride):
+        x, weight = u(rng, *shape), u(rng, 4, shape[1], 3, 3)
+        out = ops.conv3x3_fwd(x, weight, stride)
+        assert max_rel_err(out, conv3x3_loops(x, weight, stride)) < 1e-12
+        g = u(rng, *out.shape)
+        grad_x, grad_w = ops.conv3x3_bwd(x, weight, g, stride)
+        want_x, want_w = conv3x3_bwd_loops(x, weight, g, stride)
+        assert grad_x.shape == x.shape and grad_w.shape == weight.shape
+        assert max_rel_err(grad_x, want_x) < 1e-12
+        assert max_rel_err(grad_w, want_w) < 1e-12
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_float32_stays_float32(self, rng, stride):
+        x = u(rng, 2, 3, 5, 4).astype(np.float32)
+        weight = u(rng, 4, 3, 3, 3).astype(np.float32)
+        out = ops.conv3x3_fwd(x, weight, stride)
+        grad_x, grad_w = ops.conv3x3_bwd(x, weight, out, stride)
+        assert out.dtype == grad_x.dtype == grad_w.dtype == np.float32
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_non_contiguous_input_matches_copy(self, rng, stride):
+        base = u(rng, 3, 3, 9, 8).astype(np.float32)
+        weight = u(rng, 4, 3, 3, 3).astype(np.float32)
+        for x in (base[::2, :, 1:6, ::2], base.transpose(0, 1, 3, 2)):
+            assert not x.flags.c_contiguous
+            dense = np.ascontiguousarray(x)
+            out = ops.conv3x3_fwd(x, weight, stride)
+            assert np.array_equal(out, ops.conv3x3_fwd(dense, weight, stride))
+            for got, want in zip(ops.conv3x3_bwd(x, weight, out, stride),
+                                 ops.conv3x3_bwd(dense, weight, out, stride)):
+                assert np.array_equal(got, want)
 
 
 class TestSmallPrimitives:
