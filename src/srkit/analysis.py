@@ -20,7 +20,7 @@ both in the CSV, so any alternative normalization can be recomputed).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -200,9 +200,7 @@ def ablation_report(
     params: HostParams, test_set: Dataset
 ) -> tuple[float, float, float]:
     """(accuracy, accuracy with memory zeroed, signed difference)."""
-    _require_sr(params)
-    ablated = params.copy()
-    ablated.sr = sr_ablate(params.sr)
+    ablated = replace(params, sr=sr_ablate(_require_sr(params)))
     acc_full = evaluate(params, test_set)
     acc_ablated = evaluate(ablated, test_set)
     return acc_full, acc_ablated, acc_full - acc_ablated

@@ -112,9 +112,7 @@ def _load_trained(path, dataset_seed):
     meta, tensors = load_checkpoint(path)
     run = parse_config(meta["config"])
     if dataset_seed is not None:
-        run = type(run)(
-            host=run.host, train=run.train, data=replace(run.data, seed=dataset_seed)
-        )
+        run = replace(run, data=replace(run.data, seed=dataset_seed))
     params = params_from_tensors(run.host, tensors)
     return meta, run, params
 
@@ -145,7 +143,7 @@ def cmd_params(args) -> int:
 
     run = load_config(args.config)
     host_cfg = run.host
-    sr_cfg = host_cfg.sr if host_cfg.sr is not None else host_cfg.resolved_sr()
+    sr_cfg = host_cfg.sr
     without = host_param_count(host_cfg, with_sr=False)
     print(f"host_params_no_sr {without}")
     if sr_cfg is None:
@@ -154,12 +152,7 @@ def cmd_params(args) -> int:
         return EXIT_OK
     count = sr_param_count(sr_cfg)
     print(f"sr_params {count}")
-    fits_host = (
-        host_cfg.sr_insert is not None
-        and (sr_cfg.c, sr_cfg.h, sr_cfg.w)
-        == host_cfg.stage_output_shape(host_cfg.sr_insert)
-    )
-    if fits_host:
+    if host_cfg.sr_insert is not None:  # parse_config matched sr to the stage
         print(f"host_params_with_sr {without + count}")
     baseline = args.baseline if args.baseline is not None else without
     pct = sr_overhead(sr_cfg, baseline)

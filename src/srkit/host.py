@@ -10,6 +10,7 @@ object under study, the host is a fixture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,7 +24,7 @@ from .sr_block import (
     sr_backward,
     sr_forward,
     sr_init,
-    sr_param_count,
+    sr_shapes,
 )
 
 STAGE_STRIDES = (1, 2, 2, 2)
@@ -122,14 +123,6 @@ class HostParams:
             sr=self.sr.copy() if self.sr is not None else None,
         )
 
-    def astype(self, dtype) -> "HostParams":
-        return HostParams(
-            cfg=self.cfg,
-            stage_w=[w.astype(dtype) for w in self.stage_w],
-            cls_w=self.cls_w.astype(dtype),
-            sr=self.sr.astype(dtype) if self.sr is not None else None,
-        )
-
 
 @dataclass
 class HostCache:
@@ -146,11 +139,23 @@ class HostCache:
     logits: Optional[np.ndarray] = None
 
 
+def param_shapes(cfg: HostConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter tensor, in items() order."""
+    chans = (cfg.in_channels,) + tuple(cfg.stage_channels)
+    shapes = {f"stage{i}.w": (chans[i], chans[i - 1], 3, 3) for i in range(1, 5)}
+    shapes["cls.w"] = (cfg.classes, chans[-1])
+    sr_cfg = cfg.resolved_sr()
+    if sr_cfg is not None:
+        shapes.update({f"sr.{k}": shape for k, shape in sr_shapes(sr_cfg).items()})
+    return shapes
+
+
 def kaiming_uniform(
-    rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype=np.float32
+    rng: np.random.Generator, shape: tuple[int, ...], dtype=np.float32
 ) -> np.ndarray:
-    """Kaiming-uniform draw, framework-default variant: U(+-sqrt(1/fan_in))."""
-    bound = float(np.sqrt(1.0 / fan_in))
+    """Kaiming-uniform draw, framework-default variant: U(+-sqrt(1/fan_in))
+    with fan_in = prod(shape[1:])."""
+    bound = float(np.sqrt(1.0 / math.prod(shape[1:])))
     return rng.uniform(-bound, bound, shape).astype(dtype)
 
 
@@ -159,17 +164,11 @@ def host_init(
 ) -> HostParams:
     """Initialize the host; draw order: stage 1..4 convs, classifier, SR."""
     cfg.validate()
-    stage_w = []
-    c_in = cfg.in_channels
-    for c_out in cfg.stage_channels:
-        stage_w.append(kaiming_uniform(rng, (c_out, c_in, 3, 3), c_in * 9, dtype))
-        c_in = c_out
-    cls_w = kaiming_uniform(rng, (cfg.classes, c_in), c_in, dtype)
-    sr = None
+    drawn = [kaiming_uniform(rng, shape, dtype)
+             for name, shape in param_shapes(cfg).items() if not name.startswith("sr.")]
     sr_cfg = cfg.resolved_sr()
-    if sr_cfg is not None:
-        sr = sr_init(sr_cfg, rng, dtype)
-    return HostParams(cfg, stage_w, cls_w, sr)
+    sr = None if sr_cfg is None else sr_init(sr_cfg, rng, dtype)
+    return HostParams(cfg, drawn[:4], drawn[4], sr)
 
 
 def host_forward(
@@ -264,56 +263,21 @@ def host_backward(
 def params_from_tensors(cfg: HostConfig, tensors: dict[str, np.ndarray]) -> HostParams:
     """Rebuild HostParams from checkpoint tensors named as items() yields."""
     cfg.validate()
-    try:
-        stage_w = [tensors[f"stage{i}.w"].copy() for i in range(1, 5)]
-        cls_w = tensors["cls.w"].copy()
-        sr = None
-        sr_cfg = cfg.resolved_sr()
-        if sr_cfg is not None:
-            sr = SRParams(
-                cfg=sr_cfg,
-                squeeze_w=tensors["sr.squeeze_w"].copy(),
-                fc1_w=tensors["sr.fc1_w"].copy(),
-                fc2_w=tensors["sr.fc2_w"].copy(),
-                memory=tensors["sr.memory"].copy(),
-            )
-    except KeyError as e:
-        raise ConfigError(f"checkpoint is missing tensor {e.args[0]!r}") from e
-    params = HostParams(cfg, stage_w, cls_w, sr)
-    for name, t in params.items():
-        expected = _expected_shape(cfg, name)
-        if t.shape != expected:
-            raise ConfigError(
-                f"checkpoint tensor {name!r} has shape {t.shape}, expected {expected}"
-            )
-    return params
-
-
-def _expected_shape(cfg: HostConfig, name: str) -> tuple[int, ...]:
-    chans = (cfg.in_channels,) + tuple(cfg.stage_channels)
-    if name.startswith("stage"):
-        i = int(name[5])
-        return (chans[i], chans[i - 1], 3, 3)
-    if name == "cls.w":
-        return (cfg.classes, cfg.stage_channels[-1])
-    sr = cfg.resolved_sr()
-    return {
-        "sr.squeeze_w": (sr.c,),
-        "sr.fc1_w": (sr.u, sr.h * sr.w),
-        "sr.fc2_w": (sr.p, sr.u),
-        "sr.memory": (sr.p, sr.c, sr.h, sr.w),
-    }[name]
+    t = {}
+    for name, expected in param_shapes(cfg).items():
+        if name not in tensors:
+            raise ConfigError(f"checkpoint is missing tensor {name!r}")
+        if tensors[name].shape != expected:
+            raise ConfigError(f"checkpoint tensor {name!r} has shape "
+                              f"{tensors[name].shape}, expected {expected}")
+        t[name] = tensors[name].copy()
+    sr_cfg = cfg.resolved_sr()
+    sr = None if sr_cfg is None else SRParams(
+        sr_cfg, **{k[3:]: v for k, v in t.items() if k.startswith("sr.")})
+    return HostParams(cfg, [t[f"stage{i}.w"] for i in range(1, 5)], t["cls.w"], sr)
 
 
 def host_param_count(cfg: HostConfig, with_sr: bool = True) -> int:
     """Total scalar parameters; SR included when configured and requested."""
-    total = 0
-    c_in = cfg.in_channels
-    for c_out in cfg.stage_channels:
-        total += c_out * c_in * 9
-        c_in = c_out
-    total += cfg.classes * c_in
-    sr_cfg = cfg.resolved_sr()
-    if with_sr and sr_cfg is not None:
-        total += sr_param_count(sr_cfg)
-    return total
+    return sum(math.prod(shape) for name, shape in param_shapes(cfg).items()
+               if with_sr or not name.startswith("sr."))

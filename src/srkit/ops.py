@@ -248,14 +248,8 @@ def cross_entropy_bwd(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Elementwise add (residual), flatten / reshape
+# Flatten / reshape
 # ---------------------------------------------------------------------------
-
-def add_fwd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
-    return a + b
-
 
 def flatten_fwd(x: np.ndarray) -> np.ndarray:
     """(n, c, h, w) -> (n, c*h*w), row-major."""

@@ -90,34 +90,15 @@ class SRParams:
 
     def n_scalars(self) -> int:
         """Number of stored parameter scalars."""
-        return (
-            self.squeeze_w.size + self.fc1_w.size + self.fc2_w.size + self.memory.size
-        )
+        return sum(t.size for _, t in self.items())
 
     def copy(self) -> "SRParams":
-        return SRParams(
-            cfg=self.cfg,
-            squeeze_w=self.squeeze_w.copy(),
-            fc1_w=self.fc1_w.copy(),
-            fc2_w=self.fc2_w.copy(),
-            memory=self.memory.copy(),
-        )
-
-    def astype(self, dtype) -> "SRParams":
-        return SRParams(
-            cfg=self.cfg,
-            squeeze_w=self.squeeze_w.astype(dtype),
-            fc1_w=self.fc1_w.astype(dtype),
-            fc2_w=self.fc2_w.astype(dtype),
-            memory=self.memory.astype(dtype),
-        )
+        return SRParams(self.cfg, **{name: t.copy() for name, t in self.items()})
 
     def items(self):
         """Named parameter tensors in the fixed update/serialization order."""
-        yield "squeeze_w", self.squeeze_w
-        yield "fc1_w", self.fc1_w
-        yield "fc2_w", self.fc2_w
-        yield "memory", self.memory
+        for name in sr_shapes(self.cfg):
+            yield name, getattr(self, name)
 
 
 @dataclass
@@ -132,6 +113,16 @@ class SRForwardCache:
     params: SRParams = field(repr=False)
 
 
+def sr_shapes(cfg: SRConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of each parameter tensor, in items() order."""
+    return {
+        "squeeze_w": (cfg.c,),
+        "fc1_w": (cfg.u, cfg.h * cfg.w),
+        "fc2_w": (cfg.p, cfg.u),
+        "memory": (cfg.p, cfg.c, cfg.h, cfg.w),
+    }
+
+
 def sr_init(cfg: SRConfig, rng: np.random.Generator, dtype=np.float32) -> SRParams:
     """Initialize an SR block.
 
@@ -142,22 +133,10 @@ def sr_init(cfg: SRConfig, rng: np.random.Generator, dtype=np.float32) -> SRPara
     """
     cfg.validate()
     bound = math.sqrt(1.0 / cfg.c)
-    squeeze_w = rng.uniform(-bound, bound, cfg.c).astype(dtype)
-    fc1_w = rng.uniform(-bound, bound, (cfg.u, cfg.h * cfg.w)).astype(dtype)
-    fc2_w = rng.uniform(-bound, bound, (cfg.p, cfg.u)).astype(dtype)
-    memory = np.zeros((cfg.p, cfg.c, cfg.h, cfg.w), dtype=dtype)
-    return SRParams(cfg, squeeze_w, fc1_w, fc2_w, memory)
-
-
-def sr_zeros_like(params: SRParams) -> SRParams:
-    """Zero-filled gradient container shaped like ``params``."""
-    return SRParams(
-        cfg=params.cfg,
-        squeeze_w=np.zeros_like(params.squeeze_w),
-        fc1_w=np.zeros_like(params.fc1_w),
-        fc2_w=np.zeros_like(params.fc2_w),
-        memory=np.zeros_like(params.memory),
-    )
+    shapes = sr_shapes(cfg)
+    memory = np.zeros(shapes.pop("memory"), dtype=dtype)
+    drawn = {k: rng.uniform(-bound, bound, s).astype(dtype) for k, s in shapes.items()}
+    return SRParams(cfg, memory=memory, **drawn)
 
 
 def _check_input(params: SRParams, x: np.ndarray) -> None:

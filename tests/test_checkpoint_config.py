@@ -1,16 +1,23 @@
 """Checkpoint binary format and strict JSON config parsing."""
 
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from srkit import config
 from srkit.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from srkit.config import load_config, parse_config
 from srkit.errors import CheckpointError, ConfigError
 from srkit.host import HostConfig, host_init
 from srkit.rng import make_rng
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def sample_tensors(rng):
@@ -142,6 +149,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match="malformed JSON"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "flip_augment", "false"),
+        ("host.sr", "hidden_relu", 1),
+        ("host", "sr_insert", 5),
+        ("host", "sr_insert", -4),
+        ("host", "sr_insert", 0),
+        ("train", "lr0", 10**400),  # an int beyond float range
+    ])
+    def test_bad_value_named(self, section, key, value):
+        doc = {key: value}
+        for name in reversed(section.split(".")):
+            doc = {name: doc}
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config(doc)
+
+    def test_json_false_turns_flips_off(self):
+        run = parse_config({"train": {"flip_augment": False}})
+        assert run.train.flip_augment is False
+
+    @pytest.mark.parametrize("source", ["README", "config docstring"])
+    def test_documented_defaults_match_code(self, source):
+        if source == "README":
+            text = README.read_text(encoding="utf-8").split("### Configuration", 1)[1]
+            text = re.sub(r"//.*", "", text.split("```jsonc", 1)[1])
+        else:
+            text = config.__doc__
+        doc, _ = json.JSONDecoder().raw_decode(text, text.index("{"))
+        assert parse_config(doc).to_dict() == parse_config({}).to_dict()
+
 
 def test_host_params_checkpoint_roundtrip(tmp_path):
     cfg = HostConfig(sr_insert=3)
@@ -155,3 +191,43 @@ def test_host_params_checkpoint_roundtrip(tmp_path):
     rebuilt = params_from_tensors(cfg, tensors)
     for (_, a), (_, b) in zip(params.items(), rebuilt.items()):
         assert np.array_equal(a, b)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_FULL_DOC = json.loads(json.dumps(parse_config({}).to_dict()))
+
+
+def _paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+_PATHS = [*_paths(_FULL_DOC), ("bogus",), ("host", "bogus"), ("host", "sr", "bogus")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(full=st.booleans(),
+       edits=st.lists(st.tuples(st.sampled_from(_PATHS), st.integers(-6, 9) | _JSON),
+                      max_size=3))
+def test_parse_config_raises_only_config_error(full, edits):
+    """{} or the full default document with up to three values, sections
+    included, replaced by random JSON; small ints are drawn often so that
+    range checks such as the stage index are reached."""
+    doc = json.loads(json.dumps(_FULL_DOC)) if full else {}
+    for path, value in edits:
+        section = doc
+        for key in path[:-1]:
+            section = section.setdefault(key, {}) if isinstance(section, dict) else None
+        if isinstance(section, dict):
+            section[path[-1]] = value
+    try:
+        parse_config(doc)
+    except ConfigError:
+        pass

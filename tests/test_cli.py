@@ -78,6 +78,16 @@ class TestTrain:
         assert run_cli(["train", cfg, str(tmp_path / "x"), str(tmp_path / "y")]) == 2
         assert "train.lr0" in capsys.readouterr().err
 
+    def test_string_boolean_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"train": {"flip_augment": "false"}})
+        assert run_cli(["train", cfg, str(tmp_path / "x"), str(tmp_path / "y")]) == 2
+        assert "train.flip_augment" in capsys.readouterr().err
+
+    def test_sr_insert_out_of_range_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"host": {"sr_insert": 5}})
+        assert run_cli(["train", cfg, str(tmp_path / "x"), str(tmp_path / "y")]) == 2
+        assert "host.sr_insert" in capsys.readouterr().err
+
     def test_missing_config_exit_3(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert run_cli(["train", missing, str(tmp_path / "x"), str(tmp_path / "y")]) == 3
