@@ -1,7 +1,8 @@
 """Command-line surface: train, eval, params, gradcheck, bench, inspect.
 
 Exit codes: 0 success, 1 failed gradient check, 2 configuration problem
-(the message names the offending key or value), 3 I/O failure.
+(the message names the offending key or value), 3 I/O failure, 4 training
+diverged to non-finite values (the message names the epoch and batch).
 
 The SRKIT_THREADS environment variable caps internal (BLAS) parallelism;
 it defaults to 1, which is also what keeps timings and accumulation
@@ -19,6 +20,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_NUMERIC = 4
 
 
 def _apply_thread_cap() -> None:
@@ -235,7 +237,8 @@ def cmd_inspect(args) -> int:
 def main(argv=None) -> int:
     _apply_thread_cap()
     args = build_parser().parse_args(argv)
-    from .errors import CheckpointError, ConfigError, DimensionError, UsageError
+    from .errors import (CheckpointError, ConfigError, DimensionError, NumericError,
+                         UsageError)
 
     handler = {
         "train": cmd_train,
@@ -253,6 +256,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
+    except NumericError as e:
+        print(f"numeric error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

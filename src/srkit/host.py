@@ -251,12 +251,12 @@ def host_backward(
         if stage in cache.dropout_masks:
             grad_act = ops.dropout_bwd(cache.dropout_masks[stage], grad_act)
         grad_pre = ops.relu_bwd(cache.stage_pre[stage - 1], grad_act)
-        grad_act, grad_stage_w[stage - 1] = ops.conv3x3_bwd(
-            cache.stage_in[stage - 1],
-            params.stage_w[stage - 1],
-            grad_pre,
-            STAGE_STRIDES[stage - 1],
-        )
+        args = (cache.stage_in[stage - 1], params.stage_w[stage - 1], grad_pre,
+                STAGE_STRIDES[stage - 1])
+        if stage == 1:  # the input image needs no gradient
+            grad_stage_w[0] = ops.conv3x3_bwd_weight(*args)
+        else:
+            grad_act, grad_stage_w[stage - 1] = ops.conv3x3_bwd(*args)
     return HostParams(cfg, grad_stage_w, grad_cls, grad_sr)
 
 

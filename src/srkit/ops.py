@@ -7,11 +7,11 @@ validated against central finite differences in the test suite and the
 
 Determinism contract: identical inputs produce bit-identical outputs run
 to run on one machine with one BLAS thread count. The 3x3 convolutions
-are GEMMs over an im2col patch matrix, so their summation order is the
-BLAS kernel's, which depends on the CPU and the thread count; across
-machines they agree to rounding, not to the bit. ``conv1x1_fwd``
-accumulates channels left to right without BLAS and therefore matches a
-naive per-element loop bit for bit everywhere.
+are GEMMs over im2col patches, NCHW in (c, di, dj) order or channels-last
+in (di, dj, c) order (``_conv3x3_layout``), summed in that order as the
+BLAS kernel blocks it for the CPU and thread count; across machines they
+agree to rounding, not to the bit. ``conv1x1_fwd`` adds channels left to
+right without BLAS and matches a naive per-element loop bit for bit.
 
 Ops preserve the input dtype: float32 in production, float64 when a
 finite-difference oracle reruns them on upcast copies.
@@ -137,48 +137,88 @@ def _check_conv3x3(x: np.ndarray, weight: np.ndarray, stride: int):
 _CHUNK = 16
 
 
-def _conv3x3_patches(x: np.ndarray, stride: int) -> np.ndarray:
-    """im2col: the contiguous (n, c*9, oh*ow) patch matrix of the zero-padded
-    input, rows in (channel, di, dj) order like weight.reshape(o, c*9)."""
+def _conv3x3_layout(weight: np.ndarray, ow: int):
+    """Layout rule: channels-last iff its copy runs (3*c floats) are no shorter than
+    NCHW's (ow). Returns cl, the weight axes in patch order and the (9c, o) matrix."""
+    cl = 3 * weight.shape[1] >= ow
+    axes = (2, 3, 1, 0) if cl else (1, 2, 3, 0)
+    return cl, axes, weight.transpose(axes).reshape(-1, weight.shape[0])
+
+
+def _conv3x3_patches(x: np.ndarray, stride: int, cl: bool) -> np.ndarray:
+    """im2col of the zero-padded input: channels-last (n*oh*ow, 9c), columns
+    in (di, dj, c) order, else (n, c*9, oh*ow), rows in (c, di, dj) order."""
+    n, c, h, w = x.shape
+    if cl:
+        xp = np.zeros((n, h + 2, w + 2, c), dtype=x.dtype)
+        xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
+        win = sliding_window_view(xp, (3, 3), axis=(1, 2))[:, ::stride, ::stride]
+        return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, 9 * c)
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], x.shape[1] * 9, -1)
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * 9, -1)
 
 
 def conv3x3_fwd(x: np.ndarray, weight: np.ndarray, stride: int = 1) -> np.ndarray:
     """3x3 convolution with zero padding 1: one GEMM per chunk of patches."""
     n, c, h, w, o, oh, ow = _check_conv3x3(x, weight, stride)
-    w2 = weight.reshape(o, c * 9)
-    out = np.empty((n, o, oh * ow), dtype=x.dtype)
+    cl, _, wk = _conv3x3_layout(weight, ow)
+    out = np.empty((n, o, oh, ow), dtype=x.dtype)
     for b in range(0, n, _CHUNK):
-        out[b : b + _CHUNK] = w2 @ _conv3x3_patches(x[b : b + _CHUNK], stride)
-    return out.reshape(n, o, oh, ow)
+        cols = _conv3x3_patches(x[b : b + _CHUNK], stride, cl)
+        out[b : b + _CHUNK] = ((cols @ wk).reshape(-1, oh, ow, o).transpose(0, 3, 1, 2)
+                               if cl else (wk.T @ cols).reshape(-1, o, oh, ow))
+    return out
 
 
-def conv3x3_bwd(
-    x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray, stride: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint of conv3x3_fwd: two GEMMs per chunk, then col2im over the taps."""
+def _conv3x3_grads(x, weight, grad_out, stride, want_x):
+    """Both backward rules: grad_w = sum cols^T g; if want_x, col2im of g W^T."""
     n, c, h, w, o, oh, ow = _check_conv3x3(x, weight, stride)
     if grad_out.shape != (n, o, oh, ow):
         raise DimensionError(
             f"grad_out: shape is {grad_out.shape}, expected {(n, o, oh, ow)}"
         )
-    w2 = weight.reshape(o, c * 9)
-    grad_w = np.zeros_like(w2)
-    grad_xp = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
+    cl, axes, wk = _conv3x3_layout(weight, ow)
+    grad_wk = np.zeros_like(wk)
+    grad_x = np.empty((n, c, h, w), dtype=x.dtype) if want_x else None
     for b in range(0, n, _CHUNK):
-        g = grad_out[b : b + _CHUNK].reshape(-1, o, oh * ow)
-        cols = _conv3x3_patches(x[b : b + _CHUNK], stride)
-        grad_w += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+        cols = _conv3x3_patches(x[b : b + _CHUNK], stride, cl)
+        if cl:
+            g = grad_out[b : b + _CHUNK].transpose(0, 2, 3, 1).reshape(-1, o)
+            grad_wk += cols.T @ g
+        else:
+            g = grad_out[b : b + _CHUNK].reshape(-1, o, oh * ow)
+            grad_wk += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).T
         del cols  # release the patches before col2im allocates
-        grad_cols = np.matmul(w2.T, g).reshape(-1, c, 3, 3, oh, ow)
-        gx = grad_xp[b : b + _CHUNK]
+        if not want_x:
+            continue
+        gx = grad_x[b : b + _CHUNK]  # col2im on NCHW views, adding in memory order
+        if cl:
+            gxp = np.zeros((len(gx), h + 2, w + 2, c), x.dtype).transpose(0, 3, 1, 2)
+            grad_cols = (g @ wk.T).reshape(-1, oh, ow, 3, 3, c)
+            grad_cols = grad_cols.transpose(0, 5, 3, 4, 1, 2)
+        else:
+            gxp = np.zeros((len(gx), c, h + 2, w + 2), x.dtype)
+            grad_cols = np.matmul(wk, g).reshape(-1, c, 3, 3, oh, ow)
         for di in range(3):
             for dj in range(3):
-                gx[:, :, di : di + (oh - 1) * stride + 1 : stride,
-                   dj : dj + (ow - 1) * stride + 1 : stride] += grad_cols[:, :, di, dj]
-    return grad_xp[:, :, 1 : 1 + h, 1 : 1 + w], grad_w.reshape(weight.shape)
+                gxp[:, :, di : di + (oh - 1) * stride + 1 : stride,
+                    dj : dj + (ow - 1) * stride + 1 : stride] += grad_cols[:, :, di, dj]
+        gx[...] = gxp[:, :, 1 : 1 + h, 1 : 1 + w]
+    grad_w = grad_wk.reshape([weight.shape[a] for a in axes]).transpose(np.argsort(axes))
+    return grad_x, np.ascontiguousarray(grad_w)
+
+
+def conv3x3_bwd(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
+                stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint of conv3x3_fwd: two GEMMs per chunk, then col2im over the taps."""
+    return _conv3x3_grads(x, weight, grad_out, stride, want_x=True)
+
+
+def conv3x3_bwd_weight(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
+                       stride: int = 1) -> np.ndarray:
+    """conv3x3_bwd's grad_w, bit for bit, without grad_x or its col2im."""
+    return _conv3x3_grads(x, weight, grad_out, stride, want_x=False)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ops
 from .data import Dataset, SynthSpec, augment, synth_generate
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .host import HostConfig, HostParams, host_backward, host_forward, host_init
 from .rng import make_rng
 
@@ -165,9 +165,13 @@ def train(
             idx = order[start : start + train_cfg.batch]
             xb = augment(train_set.x[idx], rng, train_cfg.flip_augment)
             yb = train_set.y[idx]
-            logits, cache = host_forward(params, xb, "train", rng)
-            loss, _ = ops.cross_entropy_fwd(logits, yb)
-            grads = host_backward(params, cache, yb)
+            try:
+                logits, cache = host_forward(params, xb, "train", rng)
+                loss, _ = ops.cross_entropy_fwd(logits, yb)
+                grads = host_backward(params, cache, yb)
+            except NumericError as e:
+                raise NumericError(f"training diverged at epoch {epoch}, batch "
+                                   f"{start // train_cfg.batch}: {e}") from e
             sgd_step(params, grads, state, train_cfg, epoch)
             losses.append(loss)
         val_acc = evaluate(params, val_set)

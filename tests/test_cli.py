@@ -88,6 +88,15 @@ class TestTrain:
         assert run_cli(["train", cfg, str(tmp_path / "x"), str(tmp_path / "y")]) == 2
         assert "host.sr_insert" in capsys.readouterr().err
 
+    def test_divergence_exit_4_names_epoch(self, tmp_path, capsys):
+        doc = {**TINY, "train": {**TINY["train"], "lr0": 1000.0}}
+        ck, hist = tmp_path / "x.srck", tmp_path / "y.csv"
+        with np.errstate(all="ignore"):
+            assert run_cli(["train", write_config(tmp_path, doc), str(ck), str(hist)]) == 4
+        err = capsys.readouterr().err
+        assert "epoch " in err and "batch " in err and "non-finite" in err
+        assert not ck.exists() and not hist.exists()
+
     def test_missing_config_exit_3(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert run_cli(["train", missing, str(tmp_path / "x"), str(tmp_path / "y")]) == 3

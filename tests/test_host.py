@@ -127,6 +127,26 @@ def test_backward_rejects_eval_cache():
         host_backward(params, cache, np.array([0, 1]))
 
 
+def test_stage1_backward_computes_weight_gradient_only(monkeypatch):
+    cfg = HostConfig(stage_channels=(4, 4, 8, 8), in_h=16, in_w=16, classes=2,
+                     sr_insert=3)
+    params = host_init(cfg, make_rng(11))
+    x = make_rng(12).uniform(-1, 1, (3, 3, 16, 16)).astype(np.float32)
+    calls = {"conv3x3_bwd": [], "conv3x3_bwd_weight": []}
+    for name, calls_of in calls.items():
+        def counted(*args, _fn=getattr(ops, name), _calls=calls_of):
+            _calls.append(args)
+            return _fn(*args)
+        monkeypatch.setattr(ops, name, counted)
+    _, cache = host_forward(params, x, "train", make_rng(13))
+    grads = host_backward(params, cache, np.array([0, 1, 1]))
+    assert len(calls["conv3x3_bwd"]) == 3 and len(calls["conv3x3_bwd_weight"]) == 1
+    (stage1_args,) = calls["conv3x3_bwd_weight"]
+    assert stage1_args[0] is cache.stage_in[0]
+    monkeypatch.undo()
+    assert np.array_equal(grads.stage_w[0], ops.conv3x3_bwd(*stage1_args)[1])
+
+
 def test_micro_host_full_fd():
     rng = make_rng(10)
     params = host_init(MICRO, rng, dtype=np.float64)

@@ -23,9 +23,21 @@ from oracles import (
 
 FD_TOL = 1e-3
 
+# (n, c, h, w) for the conv3x3 loop oracles. At each stride both patch layouts
+# (ops._conv3x3_layout) run, with one chunk and with a batch split over two.
+ORACLE_SHAPES = [
+    (2, 3, 5, 4), (2, 3, 7, 7), (2, 1, 5, 4), (ops._CHUNK + 2, 1, 5, 4),
+    (2, 1, 9, 8), (ops._CHUNK + 2, 3, 5, 4), (ops._CHUNK + 2, 1, 9, 8),
+]
+
 
 def u(rng, *shape):
     return rng.uniform(-1.0, 1.0, shape)
+
+
+def channels_last(c, ow):
+    """Whether the conv3x3 ops take channels-last patches for c channels, ow wide."""
+    return ops._conv3x3_layout(np.zeros((1, c, 3, 3)), ow)[0]
 
 
 class TestConv1x1:
@@ -191,10 +203,7 @@ class TestConv3x3:
             ops.conv3x3_bwd(u(rng, 1, 2, 4, 4), u(rng, 2, 2, 3, 3), u(rng, 1, 2, 3, 3), 1)
 
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize(
-        # the last batch is split over two chunks of the patch matrix
-        "shape", [(2, 3, 5, 4), (2, 3, 7, 7), (2, 1, 5, 4), (ops._CHUNK + 2, 1, 5, 4)]
-    )
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
     def test_bwd_matches_loop_oracle(self, rng, shape, stride):
         x, weight = u(rng, *shape), u(rng, 4, shape[1], 3, 3)
         out = ops.conv3x3_fwd(x, weight, stride)
@@ -205,27 +214,45 @@ class TestConv3x3:
         assert grad_x.shape == x.shape and grad_w.shape == weight.shape
         assert max_rel_err(grad_x, want_x) < 1e-12
         assert max_rel_err(grad_w, want_w) < 1e-12
+        assert np.array_equal(ops.conv3x3_bwd_weight(x, weight, g, stride), grad_w)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_oracle_shapes_cover_both_layouts(self, stride):
+        for chunks in (1, 2):
+            cases = [s for s in ORACLE_SHAPES if -(-s[0] // ops._CHUNK) == chunks]
+            taken = {channels_last(c, (w - 1) // stride + 1) for _, c, _, w in cases}
+            assert taken == {False, True}
+
+    def test_layout_rule_on_the_default_host(self):
+        stages = ((3, 32), (16, 16), (32, 8), (64, 4))  # (c, ow) of stages 1-4
+        assert [channels_last(c, ow) for c, ow in stages] == [False, True, True, True]
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_float32_stays_float32(self, rng, stride):
-        x = u(rng, 2, 3, 5, 4).astype(np.float32)
-        weight = u(rng, 4, 3, 3, 3).astype(np.float32)
-        out = ops.conv3x3_fwd(x, weight, stride)
-        grad_x, grad_w = ops.conv3x3_bwd(x, weight, out, stride)
-        assert out.dtype == grad_x.dtype == grad_w.dtype == np.float32
+        for c, w in ((3, 4), (1, 9)):  # channels-last, then NCHW at both strides
+            x = u(rng, 2, c, 5, w).astype(np.float32)
+            weight = u(rng, 4, c, 3, 3).astype(np.float32)
+            out = ops.conv3x3_fwd(x, weight, stride)
+            grad_x, grad_w = ops.conv3x3_bwd(x, weight, out, stride)
+            grad_w_only = ops.conv3x3_bwd_weight(x, weight, out, stride)
+            assert out.dtype == grad_x.dtype == grad_w.dtype == np.float32
+            assert grad_w_only.dtype == np.float32
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_non_contiguous_input_matches_copy(self, rng, stride):
-        base = u(rng, 3, 3, 9, 8).astype(np.float32)
-        weight = u(rng, 4, 3, 3, 3).astype(np.float32)
-        for x in (base[::2, :, 1:6, ::2], base.transpose(0, 1, 3, 2)):
-            assert not x.flags.c_contiguous
-            dense = np.ascontiguousarray(x)
-            out = ops.conv3x3_fwd(x, weight, stride)
-            assert np.array_equal(out, ops.conv3x3_fwd(dense, weight, stride))
-            for got, want in zip(ops.conv3x3_bwd(x, weight, out, stride),
-                                 ops.conv3x3_bwd(dense, weight, out, stride)):
-                assert np.array_equal(got, want)
+        for c, w in ((3, 8), (1, 16)):  # channels-last, then NCHW at both strides
+            base = u(rng, 3, c, 9, w).astype(np.float32)
+            weight = u(rng, 4, c, 3, 3).astype(np.float32)
+            for x in (base[::2, :, 1:6, ::2], base.transpose(0, 1, 3, 2)):
+                assert not x.flags.c_contiguous
+                dense = np.ascontiguousarray(x)
+                out = ops.conv3x3_fwd(x, weight, stride)
+                assert np.array_equal(out, ops.conv3x3_fwd(dense, weight, stride))
+                for got, want in zip(ops.conv3x3_bwd(x, weight, out, stride),
+                                     ops.conv3x3_bwd(dense, weight, out, stride)):
+                    assert np.array_equal(got, want)
+                assert np.array_equal(ops.conv3x3_bwd_weight(x, weight, out, stride),
+                                      ops.conv3x3_bwd_weight(dense, weight, out, stride))
 
 
 class TestSmallPrimitives:

@@ -1,0 +1,62 @@
+"""The benchmark's tracer (perfbench/spans.py) against the current API.
+
+perfbench wraps srkit's public functions by name and calls its span-info
+functions with each call's own arguments, so a renamed traced function or
+a changed signature breaks a traced benchmark run. This test loads
+spans.py read-only and runs one small training step under its tracer, so
+such a change fails here first.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from srkit.host import HostConfig
+from srkit.rng import make_rng
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def srkit_module(short):
+    return importlib.import_module(f"srkit.{short}")
+
+
+def test_every_traced_name_exists(spans):
+    for short, names in spans.TRACED.items():
+        module = srkit_module(short)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"srkit.{short}.{name}"
+
+
+def test_one_training_step_under_the_tracer(spans):
+    for short in spans.TRACED:
+        srkit_module(short)  # the tracer patches loaded modules only
+    host, ops = srkit_module("host"), srkit_module("ops")
+    cfg = HostConfig(stage_channels=(4, 4, 8, 8), in_h=16, in_w=16, classes=2,
+                     sr_insert=3, dropout_kind="channel", dropout_p=0.25)
+    params = host.host_init(cfg, make_rng(1))
+    x = make_rng(2).uniform(-1, 1, (3, 3, 16, 16)).astype(np.float32)
+    tracer = spans.Tracer()
+    with tracer.active():
+        logits, cache = host.host_forward(params, x, "train", make_rng(3))
+        ops.cross_entropy_fwd(logits, np.array([0, 1, 1]))
+        host.host_backward(params, cache, np.array([0, 1, 1]))
+    assert host.host_forward.__module__ == "srkit.host"  # originals restored
+    names = [row[0] for row in tracer.spans]
+    assert names.count("ops.conv3x3_fwd") == 4
+    assert "ops.conv3x3_bwd" in names and "sr_block.sr_backward" in names
+    for name, _, end, _, info in tracer.spans:
+        assert end > 0.0
+        if name.startswith("ops.conv3x3_"):
+            assert info[1] in {w.shape for w in params.stage_w}
