@@ -21,6 +21,7 @@ survive that round trip bit-exactly, hence binary.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -69,13 +70,14 @@ def save_checkpoint(path: str, meta: dict, tensors: dict[str, np.ndarray]) -> No
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, path: str):
         self.buf = buf
+        self.path = path
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise CheckpointError("truncated checkpoint")
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -88,21 +90,32 @@ class _Reader:
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint; rejects unknown magic or version."""
+    """Read a checkpoint; rejects unknown magic or version, metadata that is
+    not a UTF-8 JSON object, and duplicate tensor names."""
     with open(path, "rb") as f:
-        r = _Reader(f.read())
+        r = _Reader(f.read(), path)
     if r.take(4) != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint")
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    meta = json.loads(r.take(r.u32()).decode("utf-8"))
+    try:
+        meta = json.loads(r.take(r.u32()).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{path}: unreadable metadata: {e}") from e
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
     tensors: dict[str, np.ndarray] = {}
     while not r.at_end():
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8: {e}") from e
+        if name in tensors:
+            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
         rank = r.u32()
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        count = math.prod(shape)  # exact: a corrupt shape must not wrap around
         data = np.frombuffer(r.take(4 * count), dtype="<f4")
         tensors[name] = data.reshape(shape).astype(np.float32)
     return meta, tensors

@@ -1,7 +1,8 @@
 """Command-line surface: train, eval, params, gradcheck, bench, inspect.
 
 Exit codes: 0 success, 1 failed gradient check, 2 configuration problem
-(the message names the offending key or value), 3 I/O failure, 4 training
+(the message names the offending key or value) or malformed checkpoint
+(the message names the file or tensor), 3 I/O failure, 4 training
 diverged to non-finite values (the message names the epoch and batch).
 
 The SRKIT_THREADS environment variable caps internal (BLAS) parallelism;
@@ -109,9 +110,12 @@ def _load_trained(path, dataset_seed):
 
     from .checkpoint import load_checkpoint
     from .config import parse_config
+    from .errors import CheckpointError
     from .host import params_from_tensors
 
     meta, tensors = load_checkpoint(path)
+    if not isinstance(meta.get("config"), dict):
+        raise CheckpointError(f"{path}: metadata has no 'config' object")
     run = parse_config(meta["config"])
     if dataset_seed is not None:
         run = replace(run, data=replace(run.data, seed=dataset_seed))

@@ -33,6 +33,7 @@ numbers (a fraction is not an int), booleans JSON ``true``/``false``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -99,10 +100,16 @@ def _coerce(value, tp, key: str):
     return _number(value, tp, key)
 
 
+@functools.cache
+def _hints(cls) -> dict:
+    """Field name -> resolved annotation of a config dataclass."""
+    return get_type_hints(cls)
+
+
 def _section(cls, doc: dict, prefix: str):
     """``cls`` from one config section: given keys typed by the dataclass
     annotations, the rest left at the dataclass defaults."""
-    hints = get_type_hints(cls)
+    hints = _hints(cls)
     for key in _object(doc, prefix):
         if key not in hints:
             raise ConfigError(f"unknown config key: {prefix}.{key}")

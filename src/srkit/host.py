@@ -5,7 +5,9 @@ residuals, bias-free), optional dropout on the stage-3/stage-4 outputs,
 the SR block directly after its stage's dropout, then global average
 pooling and a linear classifier. Deliberately simple so every gradient is
 hand-verifiable and training is bit-deterministic; the SR block is the
-object under study, the host is a fixture.
+object under study, the host is a fixture. ``host_forward_from`` runs
+only the stages after a given one, without the SR block: the host with
+its memory zeroed, from the block's input on.
 """
 
 from __future__ import annotations
@@ -197,33 +199,61 @@ def host_forward(
     if use_dropout and rng is None:
         raise UsageError("train-mode dropout needs an rng")
 
-    stage_in, stage_pre, masks = [], [], {}
-    sr_cache = sr_in = sr_out = None
-    act = x
-    for stage in range(1, 5):
-        stage_in.append(act)
+    cache = HostCache(mode, [], [], {}, None, None, None)
+    cache.pooled, cache.logits = _stages(params, x, 1, cache,
+                                         rng if use_dropout else None)
+    return cache.logits, cache
+
+
+def host_forward_from(params: HostParams, act: np.ndarray, stage: int) -> np.ndarray:
+    """Eval logits of the host without its SR block, from ``act``, the
+    output of 1-based ``stage`` (0: the input image): conv→ReLU for the
+    later stages, then pooling and the classifier; no dropout, no cache.
+    On ``cache.sr_in`` this is the host with its memory zeroed, whose block
+    returns ``x + 0``."""
+    if stage not in range(5):
+        raise UsageError(f"stage must be in 0..4, got {stage}")
+    return _stages(params, act, stage + 1)[1]
+
+
+def _stages(
+    params: HostParams,
+    act: np.ndarray,
+    first: int,
+    cache: Optional[HostCache] = None,
+    dropout_rng: Optional[np.random.Generator] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(pooled, logits) from stages ``first``..4 on ``act``.
+
+    With a cache, each stage's input and pre-activation are recorded, the
+    SR block runs at its stage and dropout masks are drawn from
+    ``dropout_rng`` when one is given; without one, only conv→ReLU runs.
+    """
+    cfg = params.cfg
+    for stage in range(first, 5):
         pre = ops.conv3x3_fwd(act, params.stage_w[stage - 1], STAGE_STRIDES[stage - 1])
-        stage_pre.append(pre)
+        if cache is not None:
+            cache.stage_in.append(act)
+            cache.stage_pre.append(pre)
         act = ops.relu_fwd(pre)
-        if use_dropout and stage in DROPOUT_STAGES:
+        if cache is None:
+            continue
+        if dropout_rng is not None and stage in DROPOUT_STAGES:
             mask = ops.dropout_mask(
                 act.shape,
                 cfg.dropout_p,
-                rng,
+                dropout_rng,
                 channelwise=(cfg.dropout_kind == "channel"),
                 dtype=act.dtype,
             )
-            masks[stage] = mask
+            cache.dropout_masks[stage] = mask
             act = ops.dropout_apply(act, mask)
         if cfg.sr_insert == stage:
-            sr_in = act
-            act, sr_cache = sr_forward(params.sr, act)
-            sr_out = act
+            cache.sr_in = act
+            act, cache.sr_cache = sr_forward(params.sr, act)
+            cache.sr_out = act
     pooled = ops.global_avgpool_fwd(act)
-    logits = ops.linear_fwd(pooled, params.cls_w)
-    cache = HostCache(mode, stage_in, stage_pre, masks, sr_cache, sr_in, sr_out,
-                      pooled, logits)
-    return logits, cache
+    return pooled, ops.linear_fwd(pooled, params.cls_w)
 
 
 def host_backward(
@@ -261,10 +291,15 @@ def host_backward(
 
 
 def params_from_tensors(cfg: HostConfig, tensors: dict[str, np.ndarray]) -> HostParams:
-    """Rebuild HostParams from checkpoint tensors named as items() yields."""
+    """Rebuild HostParams from checkpoint tensors named as items() yields;
+    a missing, misshapen or unknown tensor raises ConfigError naming it."""
     cfg.validate()
+    shapes = param_shapes(cfg)
+    unknown = sorted(set(tensors) - set(shapes))
+    if unknown:
+        raise ConfigError(f"checkpoint has unknown tensor {unknown[0]!r}")
     t = {}
-    for name, expected in param_shapes(cfg).items():
+    for name, expected in shapes.items():
         if name not in tensors:
             raise ConfigError(f"checkpoint is missing tensor {name!r}")
         if tensors[name].shape != expected:

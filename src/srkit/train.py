@@ -157,34 +157,38 @@ def train(
     stale = 0
     history: list[EpochStats] = []
     n = len(train_set)
-    for epoch in range(train_cfg.epochs):
-        lr = lr_at(train_cfg, epoch)
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, train_cfg.batch):
-            idx = order[start : start + train_cfg.batch]
-            xb = augment(train_set.x[idx], rng, train_cfg.flip_augment)
-            yb = train_set.y[idx]
-            try:
-                logits, cache = host_forward(params, xb, "train", rng)
-                loss, _ = ops.cross_entropy_fwd(logits, yb)
-                grads = host_backward(params, cache, yb)
-            except NumericError as e:
-                raise NumericError(f"training diverged at epoch {epoch}, batch "
-                                   f"{start // train_cfg.batch}: {e}") from e
-            sgd_step(params, grads, state, train_cfg, epoch)
-            losses.append(loss)
-        val_acc = evaluate(params, val_set)
-        history.append(EpochStats(epoch, lr, float(np.mean(losses)), val_acc))
-        if val_acc > best_acc:
-            best = params.copy()
-            best_acc = val_acc
-            best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if train_cfg.early_stop_patience > 0 and stale >= train_cfg.early_stop_patience:
-                break
+    # Non-finite values end the run through the NumericError checks in ops,
+    # so numpy's own overflow/invalid warnings would only be noise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(train_cfg.epochs):
+            lr = lr_at(train_cfg, epoch)
+            order = rng.permutation(n)
+            losses = []
+            for start in range(0, n, train_cfg.batch):
+                idx = order[start : start + train_cfg.batch]
+                xb = augment(train_set.x[idx], rng, train_cfg.flip_augment)
+                yb = train_set.y[idx]
+                try:
+                    logits, cache = host_forward(params, xb, "train", rng)
+                    loss, _ = ops.cross_entropy_fwd(logits, yb)
+                    grads = host_backward(params, cache, yb)
+                except NumericError as e:
+                    raise NumericError(f"training diverged at epoch {epoch}, batch "
+                                       f"{start // train_cfg.batch}: {e}") from e
+                sgd_step(params, grads, state, train_cfg, epoch)
+                losses.append(loss)
+            val_acc = evaluate(params, val_set)
+            history.append(EpochStats(epoch, lr, float(np.mean(losses)), val_acc))
+            if val_acc > best_acc:
+                best = params.copy()
+                best_acc = val_acc
+                best_epoch = epoch
+                stale = 0
+            else:
+                stale += 1
+                patience = train_cfg.early_stop_patience
+                if patience > 0 and stale >= patience:
+                    break
     if best_epoch < 0:
         best_acc = 0.0
         best_epoch = 0

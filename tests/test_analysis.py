@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import itertools
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,10 +22,11 @@ from srkit.analysis import (
     ActivationRecord,
 )
 from srkit.data import SynthSpec, synth_generate
-from srkit.errors import ConfigError
-from srkit.host import HostConfig, host_init
+from srkit.errors import ConfigError, UsageError
+from srkit.host import HostConfig, host_forward, host_forward_from, host_init
 from srkit.rng import make_rng
-from srkit.sr_block import SRConfig, sr_forward
+from srkit.sr_block import SRConfig, sr_ablate, sr_forward
+from srkit.train import EVAL_BATCH, evaluate
 
 from oracles import channel_mean_loops
 
@@ -197,6 +200,77 @@ class TestAblation:
         x = rng.uniform(-1, 1, (3, 8, 4, 4)).astype(np.float32)
         out, _ = sr_forward(ablated, x)
         assert np.array_equal(out, x)
+
+
+def memory_host(stage):
+    """Untrained host with SR after ``stage`` and a 3·N(0,1) memory bank."""
+    cfg = HostConfig(stage_channels=(4, 4, 8, 8), in_h=16, in_w=16, classes=3,
+                     sr_insert=stage)
+    params = host_init(cfg, make_rng(3))
+    params.sr.memory[:] = 3.0 * make_rng(4).standard_normal(
+        params.sr.memory.shape, dtype=np.float32)
+    return params
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls of ``fn`` through every srkit module that imported it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("srkit.") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def long_test_split():
+    """300 test samples: more than one EVAL_BATCH, the last batch partial."""
+    _, _, test_set = synth_generate(
+        SynthSpec(classes=3, per_class=2, per_class_test=100, h=16, w=16, seed=8))
+    assert EVAL_BATCH < len(test_set) < 2 * EVAL_BATCH
+    return test_set
+
+
+class TestOnePassAblation:
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    def test_equals_two_evaluates(self, stage, long_test_split):
+        params = memory_host(stage)
+        acc_full = evaluate(params, long_test_split)
+        acc_ablated = evaluate(replace(params, sr=sr_ablate(params.sr)), long_test_split)
+        assert acc_full != acc_ablated  # the memory bank changes predictions
+        got = ablation_report(params, long_test_split)
+        assert got == (acc_full, acc_ablated, acc_full - acc_ablated)
+
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    def test_suffix_logits_equal_ablated_host(self, stage, long_test_split):
+        params = memory_host(stage)
+        x = long_test_split.x
+        _, cache = host_forward(params, x, "eval")
+        want, _ = host_forward(replace(params, sr=sr_ablate(params.sr)), x, "eval")
+        assert np.array_equal(host_forward_from(params, cache.sr_in, stage), want)
+
+    def test_suffix_from_input_is_plain_host(self, long_test_split):
+        params = memory_host(3)
+        plain = replace(params, cfg=replace(params.cfg, sr_insert=None), sr=None)
+        want, _ = host_forward(plain, long_test_split.x, "eval")
+        got = host_forward_from(params, long_test_split.x, 0)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("stage", [-1, 5])
+    def test_suffix_stage_out_of_range(self, stage, long_test_split):
+        with pytest.raises(UsageError, match="stage"):
+            host_forward_from(memory_host(3), long_test_split.x, stage)
+
+    def test_one_host_forward_per_batch(self, monkeypatch, long_test_split):
+        forwards = count_calls(monkeypatch, host_forward)
+        ablations = count_calls(monkeypatch, sr_ablate)
+        ablation_report(memory_host(3), long_test_split)
+        assert len(forwards) == -(-len(long_test_split) // EVAL_BATCH) == 2
+        assert not ablations
 
 
 class TestTrainedModel:

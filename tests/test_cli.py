@@ -2,14 +2,16 @@
 
 import csv
 import json
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from srkit import cli, ops
-from srkit.checkpoint import load_checkpoint
+from srkit.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 
 TINY = {
     "data": {"per_class": 20, "per_class_test": 10, "classes": 4, "h": 16, "w": 16, "seed": 5},
@@ -88,13 +90,18 @@ class TestTrain:
         assert run_cli(["train", cfg, str(tmp_path / "x"), str(tmp_path / "y")]) == 2
         assert "host.sr_insert" in capsys.readouterr().err
 
-    def test_divergence_exit_4_names_epoch(self, tmp_path, capsys):
+    def test_divergence_exit_4_names_epoch(self, tmp_path):
         doc = {**TINY, "train": {**TINY["train"], "lr0": 1000.0}}
         ck, hist = tmp_path / "x.srck", tmp_path / "y.csv"
-        with np.errstate(all="ignore"):
-            assert run_cli(["train", write_config(tmp_path, doc), str(ck), str(hist)]) == 4
-        err = capsys.readouterr().err
+        proc = subprocess.run(  # a child process, so numpy warnings reach stderr
+            [sys.executable, "-m", "srkit.cli", "train", write_config(tmp_path, doc),
+             str(ck), str(hist)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 4
+        err = proc.stderr
         assert "epoch " in err and "batch " in err and "non-finite" in err
+        assert "RuntimeWarning" not in err
         assert not ck.exists() and not hist.exists()
 
     def test_missing_config_exit_3(self, tmp_path):
@@ -137,6 +144,64 @@ class TestEval:
         assert run_cli(["train", cfg, ck, str(tmp_path / "h.csv")]) == 0
         assert run_cli(["eval", ck, "--ablate"]) == 0
         assert "no SR block" in capsys.readouterr().err
+
+
+def tensor_record(name, t):
+    """One checkpoint tensor record, as save_checkpoint writes it."""
+    raw = name.encode()
+    return (struct.pack("<I", len(raw)) + raw + struct.pack("<I", t.ndim)
+            + struct.pack(f"<{t.ndim}I", *t.shape) + t.astype("<f4").tobytes())
+
+
+def corrupt_metadata(meta_bytes):
+    def write(path, _good):
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(meta_bytes)) + meta_bytes)
+    return write
+
+
+def extra_tensor(path, good):
+    meta, tensors = load_checkpoint(good)
+    save_checkpoint(str(path), meta, {**tensors, "bogus": np.zeros(3, np.float32)})
+
+
+def duplicate_tensor(path, good):
+    _, tensors = load_checkpoint(good)
+    zeros = np.zeros_like(tensors["cls.w"])
+    path.write_bytes(Path(good).read_bytes() + tensor_record("cls.w", zeros))
+
+
+def overflowing_shape(path, good):
+    shape = struct.pack("<I", 3) + struct.pack("<3I", 2**31, 2**31, 4)  # 2**64 floats
+    path.write_bytes(Path(good).read_bytes() + struct.pack("<I", 1) + b"a" + shape)
+
+
+def bad_tensor_name(path, good):
+    path.write_bytes(Path(good).read_bytes() + struct.pack("<I", 1) + b"\xff")
+
+
+class TestCorruptCheckpoint:
+    """A bad checkpoint ends in exit 2 with a message naming what is wrong."""
+
+    @pytest.mark.parametrize("write, named", [
+        (corrupt_metadata(b"{}"), "config"),
+        (corrupt_metadata(b"\xff\xfe"), "metadata"),
+        (corrupt_metadata(b"{not json"), "metadata"),
+        (corrupt_metadata(b"[1,2]"), "metadata"),
+        (extra_tensor, "'bogus'"),
+        (duplicate_tensor, "'cls.w'"),
+        (bad_tensor_name, "tensor name"),
+        (overflowing_shape, "truncated"),
+    ], ids=["no_config", "bad_utf8", "bad_json", "not_an_object", "unknown_tensor",
+            "duplicate_tensor", "bad_tensor_name", "overflowing_shape"])
+    def test_eval_exit_2(self, write, named, tiny_artifacts, tmp_path, capsys):
+        _, _, good, _ = tiny_artifacts
+        bad = tmp_path / "bad.srck"
+        write(bad, good)
+        assert run_cli(["eval", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        if named != "'bogus'":  # params_from_tensors sees tensors, not the file
+            assert str(bad) in err
 
 
 class TestParams:

@@ -60,3 +60,23 @@ def test_one_training_step_under_the_tracer(spans):
         assert end > 0.0
         if name.startswith("ops.conv3x3_"):
             assert info[1] in {w.shape for w in params.stage_w}
+
+
+def test_ablation_report_forwards_each_batch_once(spans):
+    """Tier-1 twin of perfbench's ``analysis.samples_forwarded``: the test
+    split goes through the traced host_forward once."""
+    for short in spans.TRACED:
+        srkit_module(short)
+    analysis, data, host = (srkit_module(s) for s in ("analysis", "data", "host"))
+    cfg = HostConfig(stage_channels=(4, 4, 8, 8), in_h=16, in_w=16, classes=3,
+                     sr_insert=3)
+    params = host.host_init(cfg, make_rng(1))
+    _, _, test_set = data.synth_generate(
+        data.SynthSpec(classes=3, per_class=2, per_class_test=100, h=16, w=16, seed=8))
+    batches = -(-len(test_set) // srkit_module("train").EVAL_BATCH)
+    tracer = spans.Tracer()
+    with tracer.active():
+        analysis.ablation_report(params, test_set)
+    forwards = [info for name, _, _, _, info in tracer.spans if name == "host.host_forward"]
+    assert len(forwards) == batches == 2
+    assert sum(forwards) == len(test_set)
