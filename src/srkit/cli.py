@@ -5,10 +5,13 @@ Exit codes: 0 success, 1 failed gradient check, 2 configuration problem
 (the message names the file or tensor), 3 I/O failure, 4 training
 diverged to non-finite values (the message names the epoch and batch).
 
-The SRKIT_THREADS environment variable caps internal (BLAS) parallelism;
-it defaults to 1, which is also what keeps timings and accumulation
-behavior reproducible. It must take effect before numpy loads, so this
-module imports the numeric stack lazily inside main().
+The SRKIT_THREADS environment variable sets how many worker threads the
+3x3 convolutions spread their chunks over (default: the CPUs this process
+may use; anything but a positive integer ends in exit 2). Results do not
+depend on it. BLAS itself runs one thread per call: main() sets
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS to 1 unless they
+are already set, which must happen before numpy loads, so this module
+imports the numeric stack lazily inside main().
 """
 
 from __future__ import annotations
@@ -24,10 +27,9 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 
-def _apply_thread_cap() -> None:
-    threads = os.environ.get("SRKIT_THREADS", "1")
+def _pin_blas_threads() -> None:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
+        os.environ.setdefault(var, "1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,9 +89,9 @@ def cmd_train(args) -> int:
     from .data import synth_generate
 
     run = load_config(args.config)
-    result = training.train(run.host, run.train, run.data)
-    _, _, test_set = synth_generate(run.data)
-    test_acc = training.evaluate(result.best_params, test_set)
+    splits = synth_generate(run.data)
+    result = training.train(run.host, run.train, run.data, splits)
+    test_acc = training.evaluate(result.best_params, splits[2])
     meta = {
         "config": run.to_dict(),
         "best_epoch": result.best_epoch,
@@ -239,10 +241,11 @@ def cmd_inspect(args) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
+    _pin_blas_threads()
     args = build_parser().parse_args(argv)
     from .errors import (CheckpointError, ConfigError, DimensionError, NumericError,
                          UsageError)
+    from .ops import worker_count
 
     handler = {
         "train": cmd_train,
@@ -253,6 +256,7 @@ def main(argv=None) -> int:
         "inspect": cmd_inspect,
     }[args.command]
     try:
+        worker_count()  # reject a bad SRKIT_THREADS before any work starts
         return handler(args)
     except (ConfigError, CheckpointError, DimensionError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -13,11 +13,21 @@ BLAS kernel blocks it for the CPU and thread count; across machines they
 agree to rounding, not to the bit. ``conv1x1_fwd`` adds channels left to
 right without BLAS and matches a naive per-element loop bit for bit.
 
+The 3x3 convolutions take the batch in chunks of ``_CHUNK`` samples and
+run the chunks on one worker pool of ``worker_count()`` threads (numpy
+releases the GIL in BLAS and in the patch copies). Every chunk's GEMMs
+keep their shapes and the weight-gradient partials are added in chunk
+order, so the bits do not depend on the pool size.
+
 Ops preserve the input dtype: float32 in production, float64 when a
 finite-difference oracle reruns them on upcast copies.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -137,6 +147,51 @@ def _check_conv3x3(x: np.ndarray, weight: np.ndarray, stride: int):
 _CHUNK = 16
 
 
+def worker_count() -> int:
+    """Conv worker threads: SRKIT_THREADS, by default the CPUs this process may
+    use. Read once, when the first convolution creates the pool."""
+    raw = os.environ.get("SRKIT_THREADS")
+    if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        k = int(raw)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise ConfigError(f"SRKIT_THREADS must be a positive integer, got {raw!r}")
+    return k
+
+
+_POOL: list = []  # [executor, or None for one worker], made on first use
+_POOL_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=lambda: _POOL.clear())
+
+
+def _each_chunk(fn, n: int) -> list:
+    """[fn(b) for b in range(0, n, _CHUNK)], the chunks spread over the worker pool.
+
+    Results come back in chunk order. Each task runs in its own copy of the
+    caller's context, since np.errstate is per context; fn must call no
+    public srkit function, as the benchmark's tracer assumes nested calls.
+    """
+    starts = range(0, n, _CHUNK)
+    with _POOL_LOCK:
+        if not _POOL:
+            # imported here, not at the top: its ~8 ms would add to every command
+            from concurrent.futures import ThreadPoolExecutor
+
+            k = worker_count()
+            _POOL.append(ThreadPoolExecutor(k, "srkit-conv") if k > 1 else None)
+    pool = _POOL[0]
+    if pool is None or len(starts) <= 1:
+        return [fn(b) for b in starts]
+    tasks = [pool.submit(contextvars.copy_context().run, fn, b) for b in starts]
+    return [t.result() for t in tasks]
+
+
 def _conv3x3_layout(weight: np.ndarray, ow: int):
     """Layout rule: channels-last iff its copy runs (3*c floats) are no shorter than
     NCHW's (ow). Returns cl, the weight axes in patch order and the (9c, o) matrix."""
@@ -164,10 +219,13 @@ def conv3x3_fwd(x: np.ndarray, weight: np.ndarray, stride: int = 1) -> np.ndarra
     n, c, h, w, o, oh, ow = _check_conv3x3(x, weight, stride)
     cl, _, wk = _conv3x3_layout(weight, ow)
     out = np.empty((n, o, oh, ow), dtype=x.dtype)
-    for b in range(0, n, _CHUNK):
+
+    def chunk(b):  # writes only its own slice of out
         cols = _conv3x3_patches(x[b : b + _CHUNK], stride, cl)
         out[b : b + _CHUNK] = ((cols @ wk).reshape(-1, oh, ow, o).transpose(0, 3, 1, 2)
                                if cl else (wk.T @ cols).reshape(-1, o, oh, ow))
+
+    _each_chunk(chunk, n)
     return out
 
 
@@ -179,19 +237,19 @@ def _conv3x3_grads(x, weight, grad_out, stride, want_x):
             f"grad_out: shape is {grad_out.shape}, expected {(n, o, oh, ow)}"
         )
     cl, axes, wk = _conv3x3_layout(weight, ow)
-    grad_wk = np.zeros_like(wk)
     grad_x = np.empty((n, c, h, w), dtype=x.dtype) if want_x else None
-    for b in range(0, n, _CHUNK):
+
+    def chunk(b):  # returns its grad_w partial, writes only its own slice of grad_x
         cols = _conv3x3_patches(x[b : b + _CHUNK], stride, cl)
         if cl:
             g = grad_out[b : b + _CHUNK].transpose(0, 2, 3, 1).reshape(-1, o)
-            grad_wk += cols.T @ g
+            part = cols.T @ g
         else:
             g = grad_out[b : b + _CHUNK].reshape(-1, o, oh * ow)
-            grad_wk += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).T
+            part = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).T
         del cols  # release the patches before col2im allocates
         if not want_x:
-            continue
+            return part
         gx = grad_x[b : b + _CHUNK]  # col2im on NCHW views, adding in memory order
         if cl:
             gxp = np.zeros((len(gx), h + 2, w + 2, c), x.dtype).transpose(0, 3, 1, 2)
@@ -205,6 +263,11 @@ def _conv3x3_grads(x, weight, grad_out, stride, want_x):
                 gxp[:, :, di : di + (oh - 1) * stride + 1 : stride,
                     dj : dj + (ow - 1) * stride + 1 : stride] += grad_cols[:, :, di, dj]
         gx[...] = gxp[:, :, 1 : 1 + h, 1 : 1 + w]
+        return part
+
+    grad_wk = np.zeros_like(wk)
+    for part in _each_chunk(chunk, n):  # chunk order, the serial loop's sum order
+        grad_wk += part
     grad_w = grad_wk.reshape([weight.shape[a] for a in axes]).transpose(np.argsort(axes))
     return grad_x, np.ascontiguousarray(grad_w)
 

@@ -131,16 +131,20 @@ def evaluate(params: HostParams, data: Dataset, batch: int = EVAL_BATCH) -> floa
 
 
 def train(
-    host_cfg: HostConfig, train_cfg: TrainConfig, spec: SynthSpec
+    host_cfg: HostConfig,
+    train_cfg: TrainConfig,
+    spec: SynthSpec,
+    splits: Optional[tuple[Dataset, Dataset, Dataset]] = None,
 ) -> TrainResult:
     """Full training run; returns the best-on-validation checkpoint.
 
+    ``splits`` is ``synth_generate(spec)`` when the caller already has it.
     Ties on validation accuracy keep the earliest epoch. Early stopping
     fires after ``early_stop_patience`` epochs without improvement
     (disabled when the patience is 0 or negative).
     """
     train_cfg.validate()
-    train_set, val_set, _ = synth_generate(spec)
+    train_set, val_set, _ = splits if splits is not None else synth_generate(spec)
     if len(train_set) == 0 or len(val_set) == 0:
         raise ConfigError("empty dataset")
     if host_cfg.classes != spec.classes:
@@ -177,6 +181,7 @@ def train(
                                        f"{start // train_cfg.batch}: {e}") from e
                 sgd_step(params, grads, state, train_cfg, epoch)
                 losses.append(loss)
+                del logits, cache, grads  # hold one step's intermediates at a time
             val_acc = evaluate(params, val_set)
             history.append(EpochStats(epoch, lr, float(np.mean(losses)), val_acc))
             if val_acc > best_acc:

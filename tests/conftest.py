@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from srkit import ops
 from srkit.config import parse_config
 from srkit.data import synth_generate
 from srkit.train import train
@@ -27,3 +28,20 @@ def toy_run():
     result = train(run.host, run.train, run.data)
     splits = synth_generate(run.data)
     return run, result, splits
+
+
+@pytest.fixture
+def use_workers(monkeypatch):
+    """use_workers(k): the 3x3 convolutions run on a fresh pool of k workers
+    (SRKIT_THREADS=k) until the test ends; the session's pool comes back after."""
+    pools = []
+
+    def use(k):
+        monkeypatch.setenv("SRKIT_THREADS", str(k))
+        pools.append([])
+        monkeypatch.setattr(ops, "_POOL", pools[-1])
+
+    yield use
+    for pool in pools:
+        if pool and pool[0] is not None:
+            pool[0].shutdown()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -103,6 +104,28 @@ class TestTrain:
         assert "epoch " in err and "batch " in err and "non-finite" in err
         assert "RuntimeWarning" not in err
         assert not ck.exists() and not hist.exists()
+
+    def test_checkpoint_bytes_do_not_depend_on_threads(self, tmp_path):
+        cfg = write_config(tmp_path, TINY)
+        written = []
+        for threads in ("1", "2"):
+            ck, hist = tmp_path / f"m{threads}.srck", tmp_path / f"h{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "srkit.cli", "train", cfg, str(ck), str(hist)],
+                capture_output=True, text=True,
+                env={**os.environ, "SRKIT_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            written.append((ck.read_bytes(), hist.read_bytes()))
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "abc", ""])
+    def test_bad_srkit_threads_exit_2(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("SRKIT_THREADS", raw)
+        cfg = write_config(tmp_path, TINY)
+        assert run_cli(["train", cfg, str(tmp_path / "x"), str(tmp_path / "y")]) == 2
+        assert "SRKIT_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_exit_3(self, tmp_path):
         missing = str(tmp_path / "nope.json")

@@ -1,8 +1,12 @@
 """Synthetic data generation, augmentation, SGD mechanics, training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from srkit import train as train_mod
+from srkit.config import parse_config
 from srkit.data import SynthSpec, augment, class_template, synth_generate
 from srkit.errors import ConfigError
 from srkit.host import HostConfig, host_init
@@ -278,3 +282,36 @@ class TestTrainLoop:
                 sgd_step(params, grads, state, cfg, epoch=0)
             drops.append(losses[0] - losses[-1])
         assert np.mean(drops) > 0.0
+
+    def test_train_holds_one_step_of_intermediates(self, monkeypatch, use_workers):
+        """Between steps the loop keeps only its momentum buffers: the memory held
+        when each host_forward starts stays flat, and no later step peaks above
+        the first one by more than those buffers."""
+        use_workers(1)  # one thread: the same allocations in the same order each step
+        run = parse_config({})
+        held, peaks = [], []
+        forward, step = train_mod.host_forward, train_mod.sgd_step
+
+        def traced_forward(params, x, mode="eval", rng=None):
+            if mode == "train":
+                held.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            return forward(params, x, mode, rng)
+
+        def traced_step(*args):
+            step(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(train_mod, "host_forward", traced_forward)
+        monkeypatch.setattr(train_mod, "sgd_step", traced_step)
+        tracemalloc.start()
+        try:
+            train(run.host, TrainConfig(epochs=1, batch=30, seed=3),
+                  SynthSpec(per_class=14, per_class_test=1))
+        finally:
+            tracemalloc.stop()
+        momentum = 4 * sum(p.size for _, p in host_init(run.host, make_rng(0)).items())
+        margin = momentum + 256 * 1024
+        assert len(peaks) == 5
+        assert max(held[1:]) - held[0] < margin
+        assert max(peaks[1:4]) - peaks[0] < margin  # the full-size steps 2-4 against step 1

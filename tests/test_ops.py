@@ -2,6 +2,12 @@
 central finite differences."""
 
 import math
+import multiprocessing
+import os
+import queue
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -253,6 +259,108 @@ class TestConv3x3:
                     assert np.array_equal(got, want)
                 assert np.array_equal(ops.conv3x3_bwd_weight(x, weight, out, stride),
                                       ops.conv3x3_bwd_weight(dense, weight, out, stride))
+
+
+def _conv_sum_in_child(results, x, weight):
+    results.put(float(ops.conv3x3_fwd(x, weight).sum()))
+
+
+class TestWorkerPool:
+    """The conv chunks run on a pool of SRKIT_THREADS workers, with the bits of
+    the one-thread loop."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES + [
+        (ops._CHUNK, 3, 5, 4), (ops._CHUNK, 1, 9, 8), (2 * ops._CHUNK + 3, 3, 6, 5)])
+    def test_bits_do_not_depend_on_worker_count(self, rng, use_workers, shape, stride):
+        x = u(rng, *shape).astype(np.float32)
+        weight = u(rng, 4, shape[1], 3, 3).astype(np.float32)
+        g = u(rng, shape[0], 4, (shape[2] - 1) // stride + 1,
+              (shape[3] - 1) // stride + 1).astype(np.float32)
+        results = []
+        for k in (1, 2, 3):
+            use_workers(k)
+            results.append([ops.conv3x3_fwd(x, weight, stride),
+                            *ops.conv3x3_bwd(x, weight, g, stride),
+                            ops.conv3x3_bwd_weight(x, weight, g, stride)])
+        for got in results[1:]:
+            for a, b in zip(got, results[0]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_stress_more_workers_than_cores(self, rng, use_workers):
+        """Chunks may finish in any order on 4 workers that switch every
+        microsecond; every output must still hold the one-thread bits."""
+        x = u(rng, 8 * ops._CHUNK + 5, 8, 9, 8).astype(np.float32)
+        weight = u(rng, 6, 8, 3, 3).astype(np.float32)
+        g = u(rng, x.shape[0], 6, 5, 4).astype(np.float32)
+
+        def run():
+            return [ops.conv3x3_fwd(x, weight, 2), *ops.conv3x3_bwd(x, weight, g, 2)]
+
+        use_workers(1)
+        want = [a.tobytes() for a in run()]
+        use_workers(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert [a.tobytes() for a in run()] == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_results_come_back_in_chunk_order(self, use_workers):
+        use_workers(3)
+
+        def late_first(b):  # the first chunk finishes last
+            time.sleep(0.05 if b == 0 else 0.0)
+            return b, threading.current_thread().name
+
+        got = ops._each_chunk(late_first, 3 * ops._CHUNK)
+        assert [b for b, _ in got] == [0, ops._CHUNK, 2 * ops._CHUNK]
+        assert all(name.startswith("srkit-conv") for _, name in got)
+
+    @pytest.mark.parametrize("k, n", [(1, 3 * ops._CHUNK), (2, ops._CHUNK), (2, 1)])
+    def test_one_worker_or_one_chunk_runs_inline(self, use_workers, k, n):
+        use_workers(k)
+        names = ops._each_chunk(lambda b: threading.current_thread().name, n)
+        assert names == [threading.current_thread().name] * -(-n // ops._CHUNK)
+
+    def test_errstate_reaches_the_workers(self, use_workers):
+        use_workers(2)
+        x = np.full((2 * ops._CHUNK, 2, 5, 4), 1e30, np.float32)
+        weight = np.full((3, 2, 3, 3), 1e30, np.float32)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            ops.conv3x3_fwd(x, weight)
+        with np.errstate(over="ignore"):
+            assert np.isinf(ops.conv3x3_fwd(x, weight)).any()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_makes_its_own_pool(self, use_workers):
+        """A child forked after the pool exists has none of its threads; it
+        must make a pool of its own instead of waiting on the dead one."""
+        use_workers(2)
+        x = np.ones((3 * ops._CHUNK, 2, 6, 5), np.float32)
+        weight = np.ones((3, 2, 3, 3), np.float32)
+        want = float(ops.conv3x3_fwd(x, weight).sum())
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=_conv_sum_in_child, args=(results, x, weight))
+        child.start()
+        try:
+            got = results.get(timeout=30)
+        except queue.Empty:
+            got = None
+        finally:
+            child.join(5)
+            if child.is_alive():
+                child.kill()
+        assert got == want
+
+    def test_thread_count_default_and_override(self, monkeypatch):
+        monkeypatch.delenv("SRKIT_THREADS", raising=False)
+        assert ops.worker_count() >= 1
+        monkeypatch.setenv("SRKIT_THREADS", "3")
+        assert ops.worker_count() == 3
 
 
 class TestSmallPrimitives:

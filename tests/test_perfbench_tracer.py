@@ -9,6 +9,7 @@ such a change fails here first.
 
 import importlib
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -80,3 +81,43 @@ def test_ablation_report_forwards_each_batch_once(spans):
     forwards = [info for name, _, _, _, info in tracer.spans if name == "host.host_forward"]
     assert len(forwards) == batches == 2
     assert sum(forwards) == len(test_set)
+
+
+def test_spans_stay_nested_with_conv_workers(spans, use_workers, monkeypatch):
+    """The conv chunks run on worker threads that call no traced function, so
+    the tracer's one stack still sees strictly nested spans."""
+    for short in spans.TRACED:
+        srkit_module(short)
+    host, ops = srkit_module("host"), srkit_module("ops")
+    use_workers(2)
+    threads = set()
+    patches = ops._conv3x3_patches
+
+    def recording_patches(*args):
+        threads.add(threading.current_thread().name)
+        return patches(*args)
+
+    monkeypatch.setattr(ops, "_conv3x3_patches", recording_patches)
+    cfg = HostConfig(stage_channels=(4, 4, 8, 8), in_h=16, in_w=16, classes=2,
+                     sr_insert=3, dropout_kind="channel", dropout_p=0.25)
+    params = host.host_init(cfg, make_rng(1))
+    n = 2 * ops._CHUNK + 5
+    x = make_rng(2).uniform(-1, 1, (n, 3, 16, 16)).astype(np.float32)
+    labels = np.arange(n) % 2
+    tracer = spans.Tracer()
+    with tracer.active():
+        logits, cache = host.host_forward(params, x, "train", make_rng(3))
+        ops.cross_entropy_fwd(logits, labels)
+        host.host_backward(params, cache, labels)
+    assert any(name.startswith("srkit-conv") for name in threads)
+    children = {}
+    for name, start, end, parent, _ in tracer.spans:
+        assert start <= end, name
+        if parent >= 0:
+            _, p_start, p_end, _, _ = tracer.spans[parent]
+            assert p_start <= start and end <= p_end, name
+        children.setdefault(parent, []).append((start, end))
+    for kids in children.values():
+        for (_, end), (start, _) in zip(kids, kids[1:]):
+            assert end <= start
+    assert sum(1 for row in tracer.spans if row[0] == "ops.conv3x3_fwd") == 4
