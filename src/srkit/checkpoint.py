@@ -101,7 +101,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     try:
         meta = json.loads(r.take(r.u32()).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # bad UTF-8, bad JSON, an int past the digit limit
         raise CheckpointError(f"{path}: unreadable metadata: {e}") from e
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: metadata is not a JSON object")
@@ -117,5 +117,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
         count = math.prod(shape)  # exact: a corrupt shape must not wrap around
         data = np.frombuffer(r.take(4 * count), dtype="<f4")
-        tensors[name] = data.reshape(shape).astype(np.float32)
+        try:
+            tensors[name] = data.reshape(shape).astype(np.float32)
+        except ValueError as e:  # more axes than numpy arrays may have
+            raise CheckpointError(f"{path}: tensor {name!r} of rank {rank}: {e}") from e
     return meta, tensors

@@ -13,11 +13,18 @@ BLAS kernel blocks it for the CPU and thread count; across machines they
 agree to rounding, not to the bit. ``conv1x1_fwd`` adds channels left to
 right without BLAS and matches a naive per-element loop bit for bit.
 
-The 3x3 convolutions take the batch in chunks of ``_CHUNK`` samples and
-run the chunks on one worker pool of ``worker_count()`` threads (numpy
-releases the GIL in BLAS and in the patch copies). Every chunk's GEMMs
-keep their shapes and the weight-gradient partials are added in chunk
-order, so the bits do not depend on the pool size.
+One worker pool of ``worker_count()`` threads runs all work that splits
+into independent blocks (``_each_chunk``); numpy releases the GIL in BLAS,
+in copies and in elementwise loops. The 3x3 convolutions take the batch in
+chunks of ``_CHUNK`` samples; every chunk's GEMMs keep their shapes and
+the weight-gradient partials are added in chunk order. The SR block's
+memory-bound passes (here ``conv1x1_bwd``'s ``grad_x`` and its
+channel-major copy of ``x``; the recall, memory gradient and residual
+adds in ``sr_block``) each fill one buffer the caller allocated, in
+blocks of about ``_TASK`` elements (``_block_size``) that leave every
+sum as the unsplit pass has it. Block boundaries follow from the shape
+alone, so the bits do not depend on the pool size, and a pass that fits
+in one block runs inline.
 
 Ops preserve the input dtype: float32 in production, float64 when a
 finite-difference oracle reruns them on upcast copies.
@@ -72,8 +79,25 @@ def conv1x1_bwd(
     check_axis(grad_out.shape[1], 1, "channel", "grad_out")
     check_axis(grad_out.shape[2], h, "height", "grad_out")
     check_axis(grad_out.shape[3], w, "width", "grad_out")
-    grad_x = weight[None, :, None, None] * grad_out
-    grad_w = np.tensordot(x, grad_out[:, 0], axes=([0, 2, 3], [0, 1, 2]))
+    rows = _block_size(n, c * h * w)
+    xv, xt = x.reshape(n, c, h * w), np.empty((c, n, h * w), dtype=x.dtype)
+
+    def channel_major(b):
+        xt[:, b : b + rows] = xv[b : b + rows].transpose(1, 0, 2)
+
+    _each_chunk(channel_major, n, rows)
+    # the copy and the one BLAS call of tensordot(x, grad_out[:, 0],
+    # axes=([0, 2, 3], [0, 1, 2])): a split sum would change the bits
+    grad_w = np.dot(xt.reshape(c, -1), grad_out.reshape(-1, 1)).reshape(c)
+    del xt  # freed before grad_x is allocated, which can reuse its pages
+
+    grad_x = np.empty((n, c, h, w), dtype=np.result_type(weight, grad_out))
+    gx, g, wc = grad_x.reshape(n, c, h * w), grad_out.reshape(n, 1, h * w), weight[:, None]
+
+    def scale(b):  # inner loops of h*w elements, not w
+        np.multiply(wc, g[b : b + rows], out=gx[b : b + rows])
+
+    _each_chunk(scale, n, rows)
     return grad_x, grad_w
 
 
@@ -145,11 +169,26 @@ def _check_conv3x3(x: np.ndarray, weight: np.ndarray, stride: int):
 
 # Samples per patch matrix: keeps it cache-sized and peak memory flat in n.
 _CHUNK = 16
+# Elements one task of a memory-bound pass streams: a few MB, so a task's
+# hand-off costs little next to its work, and passes at the default host's
+# SR shape (at most 2**20 elements) stay in one block and run inline.
+_TASK = 1 << 20
+
+
+def _block_size(n: int, each: int) -> int:
+    """Block length for a memory-bound pass that splits an axis of n entries
+    (rows or columns) of ``each`` elements: about _TASK elements, at least two
+    entries, and never a last block of one entry after others (numpy hands a
+    one-row or one-column matmul to gemv, whose sums are not gemm's)."""
+    size = max(2, _TASK // each)
+    while n > size and n % size == 1:
+        size += 1
+    return size
 
 
 def worker_count() -> int:
-    """Conv worker threads: SRKIT_THREADS, by default the CPUs this process may
-    use. Read once, when the first convolution creates the pool."""
+    """Worker threads: SRKIT_THREADS, by default the CPUs this process may
+    use. Read once, when the first split pass creates the pool."""
     raw = os.environ.get("SRKIT_THREADS")
     if raw is None:
         if hasattr(os, "sched_getaffinity"):
@@ -170,14 +209,18 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
     os.register_at_fork(after_in_child=lambda: _POOL.clear())
 
 
-def _each_chunk(fn, n: int) -> list:
-    """[fn(b) for b in range(0, n, _CHUNK)], the chunks spread over the worker pool.
+def _each_chunk(fn, n: int, size: int = _CHUNK) -> list:
+    """[fn(b) for b in range(0, n, size)], the blocks spread over the worker pool.
 
-    Results come back in chunk order. Each task runs in its own copy of the
-    caller's context, since np.errstate is per context; fn must call no
-    public srkit function, as the benchmark's tracer assumes nested calls.
+    The one pool dispatcher: the caller allocates the outputs and each fn(b)
+    writes only its own slice. Results come back in block order; one block
+    runs inline. Each task runs in its own copy of the caller's context, since
+    np.errstate is per context; fn must call no public srkit function, as the
+    benchmark's tracer assumes nested calls.
     """
-    starts = range(0, n, _CHUNK)
+    starts = range(0, n, size)
+    if len(starts) <= 1:
+        return [fn(b) for b in starts]
     with _POOL_LOCK:
         if not _POOL:
             # imported here, not at the top: its ~8 ms would add to every command
@@ -186,7 +229,7 @@ def _each_chunk(fn, n: int) -> list:
             k = worker_count()
             _POOL.append(ThreadPoolExecutor(k, "srkit-conv") if k > 1 else None)
     pool = _POOL[0]
-    if pool is None or len(starts) <= 1:
+    if pool is None:
         return [fn(b) for b in starts]
     tasks = [pool.submit(contextvars.copy_context().run, fn, b) for b in starts]
     return [t.result() for t in tasks]

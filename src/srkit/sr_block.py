@@ -15,6 +15,13 @@ learns which blocks to recall for a given input. Ablating a trained block
 
 All layers are bias-free so that the parameter count is exactly
 ``c + h*w*u + u*p + p*c*h*w``.
+
+The passes that stream whole (n, c, h, w) maps (the recall, the residual
+adds, the memory gradient and the squeeze's ``grad_x``) each fill one
+preallocated buffer in blocks fixed by the shape, run on the ``ops``
+worker pool; they give the bits of the unsplit products and sums. The
+gate gradient and the squeeze weight gradient stay one BLAS call each,
+since splitting their sums would change the bits.
 """
 
 from __future__ import annotations
@@ -165,14 +172,46 @@ def sr_forward(params: SRParams, x: np.ndarray) -> tuple[np.ndarray, SRForwardCa
     hidden = ops.relu_fwd(hidden_pre) if params.cfg.hidden_relu else hidden_pre
     logits = ops.linear_fwd(hidden, params.fc2_w)
     alpha = ops.softmax_fwd(logits)
-    out = x + recall_map(params, alpha)
+    out = recall_map(params, alpha)
+    _add_into(out, x)
     cache = SRForwardCache(x, xbar_flat, hidden_pre, hidden, alpha, params)
     return out, cache
 
 
 def recall_map(params: SRParams, alpha: np.ndarray) -> np.ndarray:
     """Convex combination of memory blocks for given weights, (n,c,h,w)."""
-    return np.tensordot(alpha, params.memory, axes=([1], [0]))
+    p, *chw = params.memory.shape
+    return _matmul_columns(alpha, params.memory.reshape(p, -1)).reshape(len(alpha), *chw)
+
+
+def _matmul_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b into one new buffer, in column blocks on the worker pool.
+
+    Each block packs only its own columns of b, and every column is summed as
+    in the unsplit gemm; row blocks would make BLAS pack all of b once per
+    block. A one-row a stays one block: numpy makes that product a gemv,
+    whose sums depend on where a block starts.
+    """
+    (m, k), cols = a.shape, b.shape[1]
+    out = np.empty((m, cols), dtype=np.result_type(a, b))
+    size = ops._block_size(cols, max(m, k)) if m > 1 else cols  # max(m, k): the batch
+
+    def block(j):
+        np.matmul(a, b[:, j : j + size], out=out[:, j : j + size])
+
+    ops._each_chunk(block, cols, size)
+    return out
+
+
+def _add_into(acc: np.ndarray, x: np.ndarray) -> None:
+    """acc += x over (n, ...) maps in row blocks on the worker pool."""
+    n = acc.shape[0]
+    rows = ops._block_size(n, acc[0].size)
+
+    def block(b):
+        np.add(acc[b : b + rows], x[b : b + rows], out=acc[b : b + rows])
+
+    ops._each_chunk(block, n, rows)
 
 
 def sr_backward(
@@ -197,7 +236,9 @@ def sr_backward(
             f"grad_out: batch axis is {grad_out.shape[0]}, expected {cache.x.shape[0]}"
         )
 
-    grad_memory = np.tensordot(cache.alpha, grad_out, axes=([0], [0]))
+    n = grad_out.shape[0]
+    grad_memory = _matmul_columns(cache.alpha.T, grad_out.reshape(n, -1))
+    grad_memory = grad_memory.reshape(params.memory.shape)
     grad_alpha = np.tensordot(grad_out, params.memory, axes=([1, 2, 3], [1, 2, 3]))
     grad_logits = ops.softmax_bwd(cache.alpha, grad_alpha)
     grad_hidden, grad_fc2 = ops.linear_bwd(cache.hidden, params.fc2_w, grad_logits)
@@ -206,12 +247,9 @@ def sr_backward(
     grad_xbar_flat, grad_fc1 = ops.linear_bwd(
         cache.xbar_flat, params.fc1_w, grad_hidden
     )
-    n = cache.x.shape[0]
     grad_xbar = ops.flatten_bwd(grad_xbar_flat, (n, 1, params.cfg.h, params.cfg.w))
-    grad_x_squeeze, grad_squeeze_w = ops.conv1x1_bwd(
-        cache.x, params.squeeze_w, grad_xbar
-    )
-    grad_x = grad_out + grad_x_squeeze
+    grad_x, grad_squeeze_w = ops.conv1x1_bwd(cache.x, params.squeeze_w, grad_xbar)
+    _add_into(grad_x, grad_out)  # the residual path
     grads = SRParams(params.cfg, grad_squeeze_w, grad_fc1, grad_fc2, grad_memory)
     return grads, grad_x
 

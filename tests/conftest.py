@@ -32,8 +32,9 @@ def toy_run():
 
 @pytest.fixture
 def use_workers(monkeypatch):
-    """use_workers(k): the 3x3 convolutions run on a fresh pool of k workers
-    (SRKIT_THREADS=k) until the test ends; the session's pool comes back after."""
+    """use_workers(k): the split passes (3x3 convolutions, SR block) run on a fresh
+    pool of k workers (SRKIT_THREADS=k) until the test ends; the session's pool
+    comes back after."""
     pools = []
 
     def use(k):
@@ -45,3 +46,19 @@ def use_workers(monkeypatch):
     for pool in pools:
         if pool and pool[0] is not None:
             pool[0].shutdown()
+
+
+@pytest.fixture
+def pool_submissions(monkeypatch):
+    """The functions handed to any ThreadPoolExecutor until the test ends."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    seen = []
+    submit = ThreadPoolExecutor.submit
+
+    def recording_submit(self, fn, /, *args, **kwargs):
+        seen.append(fn)
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", recording_submit)
+    return seen

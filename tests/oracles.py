@@ -117,6 +117,43 @@ def conv3x3_bwd_loops(
     return grad_xp[:, :, 1:-1, 1:-1], grad_w
 
 
+def sr_block_unsplit(params, x: np.ndarray, grad_out: np.ndarray):
+    """SR block forward and backward as whole-array numpy expressions: one
+    tensordot, broadcast or sum per formula and no blocks, each in the order
+    of operations of the production ops, so float32 results must match
+    sr_forward/sr_backward bit for bit.
+
+    Returns (out, {parameter name: gradient}, grad_x).
+    """
+    n = x.shape[0]
+    w = params.squeeze_w
+    xbar = w[0] * x[:, 0:1]
+    for ch in range(1, x.shape[1]):
+        xbar += w[ch] * x[:, ch : ch + 1]
+    xbar_flat = xbar.reshape(n, -1)
+    hidden_pre = xbar_flat @ params.fc1_w.T
+    hidden = np.maximum(hidden_pre, 0) if params.cfg.hidden_relu else hidden_pre
+    logits = hidden @ params.fc2_w.T
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
+    out = x + np.tensordot(alpha, params.memory, axes=([1], [0]))
+
+    grad_alpha = np.tensordot(grad_out, params.memory, axes=([1, 2, 3], [1, 2, 3]))
+    grad_logits = alpha * (grad_alpha - np.sum(grad_alpha * alpha, axis=1, keepdims=True))
+    grad_hidden = grad_logits @ params.fc2_w
+    if params.cfg.hidden_relu:
+        grad_hidden = grad_hidden * (hidden_pre > 0)
+    grad_xbar = (grad_hidden @ params.fc1_w).reshape(xbar.shape)
+    grads = {
+        "squeeze_w": np.tensordot(x, grad_xbar[:, 0], axes=([0, 2, 3], [0, 1, 2])),
+        "fc1_w": grad_hidden.T @ xbar_flat,
+        "fc2_w": grad_logits.T @ hidden,
+        "memory": np.tensordot(alpha, grad_out, axes=([0], [0])),
+    }
+    grad_x = grad_out + w[None, :, None, None] * grad_xbar
+    return out, grads, grad_x
+
+
 def channel_mean_loops(block: np.ndarray) -> np.ndarray:
     """Mean over the channel axis of one (c, h, w) memory block."""
     c, h, w = block.shape

@@ -1,8 +1,10 @@
 """Checkpoint binary format and strict JSON config parsing."""
 
 import json
+import os
 import re
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from srkit import config
 from srkit.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from srkit.config import load_config, parse_config
-from srkit.errors import CheckpointError, ConfigError
+from srkit.errors import CheckpointError, ConfigError, SrkitError
 from srkit.host import HostConfig, host_init
 from srkit.rng import make_rng
 
@@ -67,6 +69,20 @@ class TestCheckpoint:
         open(path, "wb").write(data[:-3])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    def test_huge_integer_in_metadata_rejected(self, tmp_path):
+        path = tmp_path / "big.srck"
+        meta = b'{"n":' + b"1" * 5000 + b"}"  # past Python's int-parsing digit limit
+        path.write_bytes(MAGIC + struct.pack("<II", 1, len(meta)) + meta)
+        with pytest.raises(CheckpointError, match="metadata"):
+            load_checkpoint(str(path))
+
+    def test_rank_beyond_numpy_rejected(self, tmp_path):
+        path = tmp_path / "rank.srck"
+        path.write_bytes(MAGIC + struct.pack("<II", 1, 2) + b"{}" + struct.pack("<I", 1)
+                         + b"t" + struct.pack("<66I", 65, *[0] * 65))  # 65 axes of extent 0
+        with pytest.raises(CheckpointError, match="'t' of rank 65"):
+            load_checkpoint(str(path))
 
     def test_little_endian_layout(self, tmp_path):
         path = str(tmp_path / "le.srck")
@@ -191,6 +207,36 @@ def test_host_params_checkpoint_roundtrip(tmp_path):
     rebuilt = params_from_tensors(cfg, tensors)
     for (_, a), (_, b) in zip(params.items(), rebuilt.items()):
         assert np.array_equal(a, b)
+
+
+def _valid_checkpoint() -> bytes:
+    cfg = HostConfig(stage_channels=(2, 2, 4, 4), in_h=8, in_w=8, classes=2, sr_insert=3)
+    params = host_init(cfg, make_rng(5))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ok.srck")
+        save_checkpoint(path, {"config": parse_config({}).to_dict()}, dict(params.items()))
+        return Path(path).read_bytes()
+
+
+_CHECKPOINT = _valid_checkpoint()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut=st.integers(0, len(_CHECKPOINT)),
+       edits=st.lists(st.tuples(st.integers(0, len(_CHECKPOINT) - 1), st.integers(0, 255)),
+                      max_size=4))
+def test_load_checkpoint_raises_only_srkit_error(cut, edits):
+    """A valid checkpoint cut short and with up to four bytes replaced."""
+    blob = bytearray(_CHECKPOINT)
+    for pos, byte in edits:
+        blob[pos] = byte
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.srck")
+        Path(path).write_bytes(bytes(blob[:cut]))
+        try:
+            load_checkpoint(path)
+        except SrkitError:
+            pass
 
 
 _JSON = st.recursive(

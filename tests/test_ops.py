@@ -325,6 +325,12 @@ class TestWorkerPool:
         names = ops._each_chunk(lambda b: threading.current_thread().name, n)
         assert names == [threading.current_thread().name] * -(-n // ops._CHUNK)
 
+    @given(st.integers(1, 400), st.integers(1, 1 << 21))
+    def test_block_size_leaves_no_block_of_one_entry(self, n, each):
+        size = ops._block_size(n, each)
+        assert size >= max(2, ops._TASK // each)
+        assert n <= size or n % size != 1
+
     def test_errstate_reaches_the_workers(self, use_workers):
         use_workers(2)
         x = np.full((2 * ops._CHUNK, 2, 5, 4), 1e30, np.float32)

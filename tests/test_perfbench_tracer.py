@@ -110,14 +110,43 @@ def test_spans_stay_nested_with_conv_workers(spans, use_workers, monkeypatch):
         ops.cross_entropy_fwd(logits, labels)
         host.host_backward(params, cache, labels)
     assert any(name.startswith("srkit-conv") for name in threads)
+    assert_nested(tracer.spans)
+    assert sum(1 for row in tracer.spans if row[0] == "ops.conv3x3_fwd") == 4
+
+
+def test_spans_stay_nested_with_sr_block_workers(spans, use_workers, pool_submissions):
+    """The SR block's blocked passes call no traced function on the workers
+    either: recall_map and conv1x1_bwd stay single spans inside the block's."""
+    for short in spans.TRACED:
+        srkit_module(short)
+    sr_block = srkit_module("sr_block")
+    use_workers(2)
+    rng = make_rng(4)
+    params = sr_block.sr_init(sr_block.SRConfig(c=512, h=16, w=16, u=16, p=10), rng)
+    params.memory[:] = rng.standard_normal(params.memory.shape, dtype=np.float32)
+    x = rng.random((17, 512, 16, 16), dtype=np.float32)
+    tracer = spans.Tracer()
+    with tracer.active():
+        _, cache = sr_block.sr_forward(params, x)
+        sr_block.sr_backward(params, cache, x)
+    assert len(pool_submissions) > 0
+    assert_nested(tracer.spans)
+    assert [row[0] for row in tracer.spans] == [  # no span from a worker
+        "sr_block.sr_forward", "ops.conv1x1_fwd", "ops.flatten_fwd", "ops.linear_fwd",
+        "ops.linear_fwd", "ops.softmax_fwd", "sr_block.recall_map",
+        "sr_block.sr_backward", "ops.softmax_bwd", "ops.linear_bwd", "ops.linear_bwd",
+        "ops.flatten_bwd", "ops.conv1x1_bwd"]
+
+
+def assert_nested(rows):
+    """Every span lies inside its parent, and siblings do not overlap."""
     children = {}
-    for name, start, end, parent, _ in tracer.spans:
+    for name, start, end, parent, _ in rows:
         assert start <= end, name
         if parent >= 0:
-            _, p_start, p_end, _, _ = tracer.spans[parent]
+            _, p_start, p_end, _, _ = rows[parent]
             assert p_start <= start and end <= p_end, name
         children.setdefault(parent, []).append((start, end))
     for kids in children.values():
         for (_, end), (start, _) in zip(kids, kids[1:]):
             assert end <= start
-    assert sum(1 for row in tracer.spans if row[0] == "ops.conv3x3_fwd") == 4

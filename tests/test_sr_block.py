@@ -1,4 +1,6 @@
-"""SR block: init, forward/backward, accounting, ablation, invariants."""
+"""SR block: init, forward/backward, worker pool, accounting, ablation, invariants."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from srkit.errors import ConfigError, UsageError
 from srkit.rng import make_rng
 from srkit.sr_block import (
     SRConfig,
+    recall_map,
     sr_ablate,
     sr_backward,
     sr_forward,
@@ -22,6 +25,7 @@ from oracles import (
     max_rel_err,
     resnet18_cifar100_param_count,
     resnet50_imagenet_param_count,
+    sr_block_unsplit,
 )
 
 RESNET50_BASELINE = 25_557_032
@@ -181,6 +185,74 @@ class TestBackward:
         other = sr_init(small_cfg(), make_rng(21))
         with pytest.raises(UsageError):
             sr_backward(other, cache, x)
+
+
+RESNET_SHAPE = dict(c=1024, h=14, w=14, u=16, p=10)  # perfbench's sr_block_resnet
+WIDE_SHAPE = dict(c=512, h=16, w=16, u=16, p=10)
+DEFAULT_HOST_SHAPE = dict(c=64, h=8, w=8, u=8, p=4)  # after stage 3 of the default host
+
+
+def pool_case(n, shape, seed=0):
+    """An SR block with a 0.1*N(0,1) memory bank, input and upstream gradient."""
+    rng = make_rng(seed)
+    params = sr_init(SRConfig(**shape), rng)
+    params.memory[:] = 0.1 * rng.standard_normal(params.memory.shape, dtype=np.float32)
+    x = rng.random((n, shape["c"], shape["h"], shape["w"]), dtype=np.float32)
+    return params, x, rng.standard_normal(x.shape, dtype=np.float32)
+
+
+def digests(out, grads, grad_x):
+    named = {"out": out, **grads, "grad_x": grad_x}
+    return {k: (t.dtype.str, hashlib.sha256(t.tobytes()).hexdigest()) for k, t in named.items()}
+
+
+class TestWorkerPool:
+    """The memory-bound passes run in blocks fixed by the shape on the ops
+    worker pool, with the bits of the unsplit formulas."""
+
+    # batch 32 at the ResNet shape: 7 blocks of 5 rows or 32768 columns, the
+    # last ragged; batch 17 at 512x16x16: row blocks of 8 would leave a last
+    # block of one row (a gemv in numpy), so they grow to 9 and 8; p = 1 makes
+    # the memory gradient a gemv, which stays one block
+    @pytest.mark.parametrize("n, shape", [
+        (32, RESNET_SHAPE), (17, WIDE_SHAPE),
+        (40, dict(c=1024, h=7, w=7, u=8, p=1, allow_off_grid=True))])
+    def test_same_bytes_as_unsplit_formulas_on_1_2_3_workers(
+            self, use_workers, pool_submissions, n, shape):
+        params, x, g = pool_case(n, shape)
+        want = digests(*sr_block_unsplit(params, x, g))
+        for k in (1, 2, 3):
+            use_workers(k)
+            out, cache = sr_forward(params, x)
+            grads, grad_x = sr_backward(params, cache, g)
+            assert digests(out, dict(grads.items()), grad_x) == want, f"{k} workers"
+            del out, cache, grads, grad_x
+        assert len(pool_submissions) > 0
+
+    @pytest.mark.parametrize("pass_", ["recall", "residual add"])
+    def test_overflow_raises_from_a_worker(self, use_workers, pool_submissions, pass_):
+        params, x, _ = pool_case(17, WIDE_SHAPE)
+        params.memory[:] = 3e38
+        if pass_ == "recall":  # weights that are not convex, so the products overflow
+            run = lambda: recall_map(params, np.full((17, params.cfg.p), 4.0, np.float32))
+        else:  # uniform alpha recalls 3e38, and x + 3e38 overflows
+            params.squeeze_w[:] = 0.0
+            x[:] = 3e38
+            run = lambda: sr_forward(params, x)[0]
+        use_workers(2)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            run()
+        assert len(pool_submissions) > 0
+        with np.errstate(over="ignore"):
+            assert np.isinf(run()).all()
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_default_host_shape_runs_inline(self, use_workers, pool_submissions, n):
+        params, x, g = pool_case(n, DEFAULT_HOST_SHAPE)
+        use_workers(2)
+        _, cache = sr_forward(params, x)
+        sr_backward(params, cache, g)
+        assert pool_submissions == []
 
 
 class TestAccounting:
