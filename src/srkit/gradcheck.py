@@ -69,176 +69,110 @@ def _u(rng, *shape):
     return rng.uniform(-1.0, 1.0, shape)
 
 
-def _check_conv1x1(rng, n, c, h, w) -> float:
-    x, weight = _u(rng, n, c, h, w), _u(rng, c)
-    g_out = _u(rng, n, 1, h, w)
-    grad_x, grad_w = ops.conv1x1_bwd(x, weight, g_out)
-    loss = lambda: float(np.sum(ops.conv1x1_fwd(x, weight) * g_out))
-    return max(
-        rel_err(grad_x, fd_grad(loss, x, STEP_PRIMITIVE)),
-        rel_err(grad_w, fd_grad(loss, weight, STEP_PRIMITIVE)),
-    )
+def _worst(loss, pairs, step: float) -> float:
+    """Largest rel_err of each (analytic gradient, tensor) pair against the
+    central differences of ``loss`` w.r.t. that tensor, moved in place."""
+    return max(rel_err(analytic, fd_grad(loss, t, step)) for analytic, t in pairs)
 
 
-def _check_linear(rng, n, i, o) -> float:
-    x, weight, g_out = _u(rng, n, i), _u(rng, o, i), _u(rng, n, o)
-    grad_x, grad_w = ops.linear_bwd(x, weight, g_out)
-    loss = lambda: float(np.sum(ops.linear_fwd(x, weight) * g_out))
-    return max(
-        rel_err(grad_x, fd_grad(loss, x, STEP_PRIMITIVE)),
-        rel_err(grad_w, fd_grad(loss, weight, STEP_PRIMITIVE)),
-    )
+def _adjoint(rng, fwd, bwd, *inputs, step: float = STEP_PRIMITIVE) -> float:
+    """Check ``bwd(g_out, *inputs)``, one gradient per input, against the loss
+    sum(fwd(*inputs) * g_out), with g_out drawn here, after the inputs."""
+    g_out = _u(rng, *fwd(*inputs).shape)
+    loss = lambda: float(np.sum(fwd(*inputs) * g_out))
+    return _worst(loss, zip(bwd(g_out, *inputs), inputs), step)
 
 
-def _check_softmax(rng, n, p) -> float:
-    logits, g_out = _u(rng, n, p), _u(rng, n, p)
-    probs = ops.softmax_fwd(logits)
-    grad_logits = ops.softmax_bwd(probs, g_out)
-    loss = lambda: float(np.sum(ops.softmax_fwd(logits) * g_out))
-    return rel_err(grad_logits, fd_grad(loss, logits, STEP_PRIMITIVE))
+def _conv3x3(rng, shape, stride: int) -> float:
+    return _adjoint(rng, lambda x, w: ops.conv3x3_fwd(x, w, stride),
+                    lambda g, x, w: ops.conv3x3_bwd(x, w, g, stride),
+                    _u(rng, *shape), _u(rng, 3, shape[1], 3, 3))
 
 
-def _check_conv3x3(rng, n, c, o, h, w, stride) -> float:
-    x, weight = _u(rng, n, c, h, w), _u(rng, o, c, 3, 3)
-    out = ops.conv3x3_fwd(x, weight, stride)
-    g_out = rng.uniform(-1.0, 1.0, out.shape)
-    grad_x, grad_w = ops.conv3x3_bwd(x, weight, g_out, stride)
-    loss = lambda: float(np.sum(ops.conv3x3_fwd(x, weight, stride) * g_out))
-    return max(
-        rel_err(grad_x, fd_grad(loss, x, STEP_PRIMITIVE)),
-        rel_err(grad_w, fd_grad(loss, weight, STEP_PRIMITIVE)),
-    )
+def _off_kink(x):  # ReLU inputs away from 0, so central differences are valid
+    return np.where(np.abs(x) < 0.05, 0.25, x)
 
 
-def _check_relu(rng, n, c, h, w) -> float:
-    # keep inputs away from the kink so central differences are valid
-    x = _u(rng, n, c, h, w)
-    x = np.where(np.abs(x) < 0.05, 0.25, x)
-    g_out = _u(rng, n, c, h, w)
-    grad_x = ops.relu_bwd(x, g_out)
-    loss = lambda: float(np.sum(ops.relu_fwd(x) * g_out))
-    return rel_err(grad_x, fd_grad(loss, x, STEP_PRIMITIVE))
-
-
-def _check_avgpool(rng, n, c, h, w) -> float:
-    x, g_out = _u(rng, n, c, h, w), _u(rng, n, c)
-    grad_x = ops.global_avgpool_bwd(x.shape, g_out)
-    loss = lambda: float(np.sum(ops.global_avgpool_fwd(x) * g_out))
-    return rel_err(grad_x, fd_grad(loss, x, STEP_PRIMITIVE))
-
-
-def _check_cross_entropy(rng, n, k) -> float:
-    logits = _u(rng, n, k)
-    labels = rng.integers(0, k, n)
-    _, probs = ops.cross_entropy_fwd(logits, labels)
-    grad_logits = ops.cross_entropy_bwd(probs, labels)
+def _cross_entropy(rng, n, k) -> float:
+    logits, labels = _u(rng, n, k), rng.integers(0, k, n)
+    grad = ops.cross_entropy_bwd(ops.cross_entropy_fwd(logits, labels)[1], labels)
     loss = lambda: ops.cross_entropy_fwd(logits, labels)[0]
-    return rel_err(grad_logits, fd_grad(loss, logits, STEP_PRIMITIVE))
+    return _worst(loss, [(grad, logits)], STEP_PRIMITIVE)
 
 
-def _check_dropout(rng, n, c, h, w, channelwise) -> float:
-    x = _u(rng, n, c, h, w)
-    shape_rng = make_rng(1234)
-    mask = ops.dropout_mask(
-        (n, c, h, w), 0.4, shape_rng, channelwise=channelwise, dtype=np.float64
-    )
-    g_out = _u(rng, n, c, h, w)
-    grad_x = ops.dropout_bwd(mask, g_out)
-    loss = lambda: float(np.sum(ops.dropout_apply(x, mask) * g_out))
-    return rel_err(grad_x, fd_grad(loss, x, STEP_PRIMITIVE))
+def _dropout(rng, shape, channelwise: bool) -> float:
+    mask = ops.dropout_mask(shape, 0.4, make_rng(1234), channelwise=channelwise,
+                            dtype=np.float64)
+    return _adjoint(rng, lambda x: ops.dropout_apply(x, mask),
+                    lambda g, x: (ops.dropout_bwd(mask, g),), _u(rng, *shape))
 
 
-def _check_sr_block(rng, n, c, h, w, u, p) -> float:
-    cfg = SRConfig(c=c, h=h, w=w, u=u, p=p, allow_off_grid=True)
+def _sr_block(rng, shape, u, p) -> float:
+    cfg = SRConfig(*shape[1:], u=u, p=p, allow_off_grid=True)
     params = sr_init(cfg, rng, dtype=np.float64)
-    params.memory[:] = _u(rng, p, c, h, w)
-    x = _u(rng, n, c, h, w)
-    g_out = _u(rng, n, c, h, w)
+    params.memory[:] = _u(rng, p, *shape[1:])
 
-    def loss():
-        out, _ = sr_forward(params, x)
-        return float(np.sum(out * g_out))
+    def bwd(g_out, x, *_):
+        grads, grad_x = sr_backward(params, sr_forward(params, x)[1], g_out)
+        return grad_x, *(g for _, g in grads.items())
 
-    out, cache = sr_forward(params, x)
-    grads, grad_x = sr_backward(params, cache, g_out)
-    worst = rel_err(grad_x, fd_grad(loss, x, STEP_COMPOSITE))
-    for name, tensor in params.items():
-        analytic = dict(grads.items())[name]
-        worst = max(worst, rel_err(analytic, fd_grad(loss, tensor, STEP_COMPOSITE)))
-    return worst
+    tensors = (t for _, t in params.items())
+    return _adjoint(rng, lambda x, *_: sr_forward(params, x)[0], bwd,
+                    _u(rng, *shape), *tensors, step=STEP_COMPOSITE)
 
 
-def _check_micro_host(rng, size: str) -> float:
-    if size == "micro":
-        host_cfg = HostConfig(
-            stage_channels=(2, 2, 2, 2),
-            in_channels=3,
-            in_h=4,
-            in_w=4,
-            classes=2,
-            sr_insert=3,
-            sr=SRConfig(c=2, h=1, w=1, u=2, p=2, allow_off_grid=True),
-            dropout_kind="channel",
-            dropout_p=0.25,
-        )
-        n = 2
-    else:
-        host_cfg = HostConfig(
-            stage_channels=(4, 4, 4, 4),
-            in_channels=3,
-            in_h=8,
-            in_w=8,
-            classes=3,
-            sr_insert=3,
-            sr=SRConfig(c=4, h=2, w=2, u=4, p=3, allow_off_grid=True),
-            dropout_kind="channel",
-            dropout_p=0.25,
-        )
-        n = 3
-    params = host_init(host_cfg, rng, dtype=np.float64)
-    if params.sr is not None:
-        params.sr.memory[:] = 0.5 * _u(rng, *params.sr.memory.shape)
-    x = _u(rng, n, host_cfg.in_channels, host_cfg.in_h, host_cfg.in_w)
-    labels = rng.integers(0, host_cfg.classes, n)
-    mask_seed = 99  # dropout masks must be identical across FD evaluations
+_HOSTS = {  # --size -> micro_host row: stage width, image side, classes, p, batch
+    "micro": (2, 4, 2, 2, 2),
+    "small": (4, 8, 3, 3, 3),
+}
+_MASK_SEED = 99  # dropout masks must be identical across FD evaluations
 
-    def loss():
-        logits, _ = host_forward(params, x, "train", make_rng(mask_seed))
-        return ops.cross_entropy_fwd(logits, labels)[0]
 
-    logits, cache = host_forward(params, x, "train", make_rng(mask_seed))
-    grads = host_backward(params, cache, labels)
-    grad_map = dict(grads.items())
-    worst = 0.0
-    for name, tensor in params.items():
-        worst = max(
-            worst, rel_err(grad_map[name], fd_grad(loss, tensor, STEP_COMPOSITE))
-        )
-    return worst
+def _micro_host(rng, size: str) -> float:
+    width, side, classes, p, n = _HOSTS[size]
+    sr = SRConfig(c=width, h=side // 4, w=side // 4, u=width, p=p, allow_off_grid=True)
+    cfg = HostConfig(stage_channels=(width,) * 4, in_h=side, in_w=side, classes=classes,
+                     sr_insert=3, sr=sr, dropout_kind="channel", dropout_p=0.25)
+    params = host_init(cfg, rng, dtype=np.float64)
+    params.sr.memory[:] = 0.5 * _u(rng, *params.sr.memory.shape)
+    x, labels = _u(rng, n, 3, side, side), rng.integers(0, classes, n)
+    fwd = lambda: host_forward(params, x, "train", make_rng(_MASK_SEED))
+    grads = host_backward(params, fwd()[1], labels)
+    pairs = [(g, t) for (_, g), (_, t) in zip(grads.items(), params.items())]
+    loss = lambda: ops.cross_entropy_fwd(fwd()[0], labels)[0]
+    return _worst(loss, pairs, STEP_COMPOSITE)
 
 
 def run_suite(size: str = "micro", seed: int = 0) -> list[CheckResult]:
     """Run every check; sizes scale the shapes, not the set of checks."""
-    if size not in ("micro", "small"):
+    if size not in _HOSTS:
         raise ConfigError(f"size must be 'micro' or 'small', got {size!r}")
     rng = make_rng(seed)
     big = size == "small"
-    n, c, h, w = (3, 4, 5, 5) if big else (2, 3, 4, 4)
-    results = [
-        CheckResult("conv1x1", _check_conv1x1(rng, n, c, h, w)),
-        CheckResult("linear", _check_linear(rng, n, 5 if big else 4, 3)),
-        CheckResult("softmax", _check_softmax(rng, n, 5 if big else 4)),
-        CheckResult("conv3x3_s1", _check_conv3x3(rng, n, c, 3, h, w, 1)),
-        CheckResult("conv3x3_s2", _check_conv3x3(rng, n, c, 3, h, w, 2)),
-        CheckResult("relu", _check_relu(rng, n, c, h, w)),
-        CheckResult("global_avgpool", _check_avgpool(rng, n, c, h, w)),
-        CheckResult("cross_entropy", _check_cross_entropy(rng, n, 5 if big else 3)),
-        CheckResult("dropout_element", _check_dropout(rng, n, c, h, w, False)),
-        CheckResult("dropout_channel", _check_dropout(rng, n, c, h, w, True)),
-        CheckResult(
-            "sr_block",
-            _check_sr_block(rng, n, c, h, w, u=4 if big else 3, p=4 if big else 3),
-        ),
-        CheckResult("micro_host", _check_micro_host(rng, size)),
-    ]
-    return results
+    shape = n, c, _, _ = (3, 4, 5, 5) if big else (2, 3, 4, 4)
+    k = 5 if big else 4  # linear input width and softmax width
+    checks = {  # run in this order: every check draws from the one rng
+        "conv1x1": lambda: _adjoint(
+            rng, ops.conv1x1_fwd, lambda g, x, w: ops.conv1x1_bwd(x, w, g),
+            _u(rng, *shape), _u(rng, c)),
+        "linear": lambda: _adjoint(
+            rng, ops.linear_fwd, lambda g, x, w: ops.linear_bwd(x, w, g),
+            _u(rng, n, k), _u(rng, 3, k)),
+        "softmax": lambda: _adjoint(
+            rng, ops.softmax_fwd, lambda g, z: (ops.softmax_bwd(ops.softmax_fwd(z), g),),
+            _u(rng, n, k)),
+        "conv3x3_s1": lambda: _conv3x3(rng, shape, 1),
+        "conv3x3_s2": lambda: _conv3x3(rng, shape, 2),
+        "relu": lambda: _adjoint(
+            rng, ops.relu_fwd, lambda g, x: (ops.relu_bwd(x, g),),
+            _off_kink(_u(rng, *shape))),
+        "global_avgpool": lambda: _adjoint(
+            rng, ops.global_avgpool_fwd,
+            lambda g, x: (ops.global_avgpool_bwd(x.shape, g),), _u(rng, *shape)),
+        "cross_entropy": lambda: _cross_entropy(rng, n, 5 if big else 3),
+        "dropout_element": lambda: _dropout(rng, shape, False),
+        "dropout_channel": lambda: _dropout(rng, shape, True),
+        "sr_block": lambda: _sr_block(rng, shape, *((4, 4) if big else (3, 3))),
+        "micro_host": lambda: _micro_host(rng, size),
+    }
+    return [CheckResult(name, check()) for name, check in checks.items()]
