@@ -250,6 +250,20 @@ class TestParams:
         assert "overhead_pct 1.59" in out
 
 
+# the gradcheck rows besides micro_host that a sign flip in each ops backward rule fails
+FAILED_ROWS = {
+    "conv1x1_bwd": {"conv1x1", "sr_block"},
+    "linear_bwd": {"linear", "sr_block"},
+    "softmax_bwd": {"softmax", "sr_block"},
+    "conv3x3_bwd": {"conv3x3_s1", "conv3x3_s2"},
+    "conv3x3_bwd_weight": {"conv3x3_s1", "conv3x3_s2"},
+    "relu_bwd": {"relu"},
+    "global_avgpool_bwd": {"global_avgpool"},
+    "cross_entropy_bwd": {"cross_entropy"},
+    "dropout_bwd": {"dropout_element", "dropout_channel"},
+}
+
+
 class TestGradcheck:
     def test_passes_and_exit_zero(self, capsys):
         assert run_cli(["gradcheck", "--size", "micro"]) == 0
@@ -260,12 +274,22 @@ class TestGradcheck:
         assert run_cli(["gradcheck", "--seed", "0"]) == 0
         assert run_cli(["gradcheck", "--seed", "12345"]) == 0
 
-    def test_injected_sign_error_detected(self, monkeypatch, capsys):
-        real = ops.softmax_bwd
-        monkeypatch.setattr(ops, "softmax_bwd", lambda p, g: -real(p, g))
-        assert run_cli(["gradcheck", "--size", "micro"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
+    @pytest.mark.parametrize("rule", list(FAILED_ROWS))
+    def test_injected_sign_error_detected(self, monkeypatch, capsys, rule):
+        """A sign-flipped backward rule fails its own rows, the SR block's if
+        the block uses it, and the micro host's, at either seed."""
+        real = getattr(ops, rule)
+
+        def flipped(*args):
+            out = real(*args)
+            return tuple(-g for g in out) if isinstance(out, tuple) else -out
+
+        monkeypatch.setattr(ops, rule, flipped)
+        for seed in ("0", "12345"):
+            assert run_cli(["gradcheck", "--size", "micro", "--seed", seed]) == 1
+            rows = [l.split() for l in capsys.readouterr().out.splitlines()]
+            failed = {r[0] for r in rows if r[1] == "max_rel_err" and r[-1] == "FAIL"}
+            assert failed == FAILED_ROWS[rule] | {"micro_host"}, seed
 
 
 class TestBench:
