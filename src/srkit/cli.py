@@ -120,7 +120,7 @@ def _load_trained(path, dataset_seed):
         raise CheckpointError(f"{path}: metadata has no 'config' object")
     run = parse_config(meta["config"])
     if dataset_seed is not None:
-        run = replace(run, data=replace(run.data, seed=dataset_seed))
+        run = replace(run, data=replace(run.data, seed=dataset_seed).validate())
     params = params_from_tensors(run.host, tensors)
     return meta, run, params
 
@@ -170,8 +170,11 @@ def cmd_params(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .errors import ConfigError
     from .gradcheck import TOLERANCE, run_suite
 
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
     results = run_suite(args.size, args.seed)
     ok = True
     for r in results:

@@ -41,6 +41,8 @@ class SynthSpec:
                 raise ConfigError(f"data.{name} must be >= 1")
         if self.noise_sigma < 0:
             raise ConfigError(f"data.noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"data.seed must be in [0, 2**64), got {self.seed}")
         return self
 
 

@@ -55,6 +55,8 @@ class TrainConfig:
             raise ConfigError(f"train.epochs must be >= 0, got {self.epochs}")
         if self.weight_decay < 0:
             raise ConfigError(f"train.weight_decay must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"train.seed must be in [0, 2**64), got {self.seed}")
         return self
 
     def resolved_decay_epochs(self) -> tuple[int, ...]:

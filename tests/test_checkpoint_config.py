@@ -172,6 +172,9 @@ class TestConfig:
         ("host", "sr_insert", -4),
         ("host", "sr_insert", 0),
         ("train", "lr0", 10**400),  # an int beyond float range
+        ("train", "seed", -1),
+        ("train", "seed", 2**64),
+        ("data", "seed", -1),
     ])
     def test_bad_value_named(self, section, key, value):
         doc = {key: value}

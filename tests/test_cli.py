@@ -119,12 +119,25 @@ class TestTrain:
             written.append((ck.read_bytes(), hist.read_bytes()))
         assert written[0] == written[1]
 
-    @pytest.mark.parametrize("raw", ["0", "-1", "abc", ""])
-    def test_bad_srkit_threads_exit_2(self, tmp_path, capsys, monkeypatch, raw):
-        monkeypatch.setenv("SRKIT_THREADS", raw)
-        cfg = write_config(tmp_path, TINY)
-        assert run_cli(["train", cfg, str(tmp_path / "x"), str(tmp_path / "y")]) == 2
-        assert "SRKIT_THREADS" in capsys.readouterr().err
+    @pytest.mark.parametrize("threads, argv, named", [
+        *[(raw, "train {cfg} {out} {out}.csv", "SRKIT_THREADS")
+          for raw in ["0", "-1", "abc", ""]],
+        ("1", "train {bad_seed_cfg} {out} {out}.csv", "train.seed"),
+        ("1", "gradcheck --seed -1", "--seed"),
+        ("1", "eval {ck} --dataset-seed -1", "data.seed"),
+        ("1", "inspect {ck} {out} --dataset-seed -1", "data.seed"),
+    ], ids=["0", "-1", "abc", "", "train_seed", "gradcheck_seed", "eval_seed",
+            "inspect_seed"])
+    def test_bad_srkit_threads_exit_2(self, tmp_path, capsys, monkeypatch,
+                                      tiny_artifacts, threads, argv, named):
+        """A bad SRKIT_THREADS, or a seed outside [0, 2**64) given to any
+        command, ends in exit 2 naming it before anything is written."""
+        monkeypatch.setenv("SRKIT_THREADS", threads)
+        paths = {"cfg": write_config(tmp_path, TINY), "ck": tiny_artifacts[2],
+                 "bad_seed_cfg": write_config(tmp_path, {"train": {"seed": -1}}, "b.json"),
+                 "out": str(tmp_path / "x")}
+        assert run_cli(argv.format(**paths).split()) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_missing_config_exit_3(self, tmp_path):
