@@ -88,6 +88,15 @@ def _select_ids(
     return ids
 
 
+def _sr_readout(params, data, class_filter, cap, batch):
+    """(ids, eval-mode host cache) per batch of the selected samples."""
+    _require_sr(params)
+    ids = _select_ids(data, class_filter, cap)
+    for start in range(0, len(ids), batch):
+        chunk = ids[start : start + batch]
+        yield chunk, host_forward(params, data.x[chunk], "eval")[1]
+
+
 def collect_activations(
     params: HostParams,
     data: Dataset,
@@ -96,18 +105,11 @@ def collect_activations(
     batch: int = 256,
 ) -> list[ActivationRecord]:
     """One record per matching sample, eval mode (dropout off)."""
-    _require_sr(params)
-    ids = _select_ids(data, class_filter, cap)
-    records = []
-    for start in range(0, len(ids), batch):
-        chunk = ids[start : start + batch]
-        _, cache = host_forward(params, data.x[chunk], "eval")
-        alpha = cache.sr_cache.alpha
-        for row, i in enumerate(chunk):
-            records.append(
-                ActivationRecord(i, int(data.y[i]), alpha[row].copy())
-            )
-    return records
+    return [
+        ActivationRecord(i, int(data.y[i]), cache.sr_cache.alpha[row].copy())
+        for chunk, cache in _sr_readout(params, data, class_filter, cap, batch)
+        for row, i in enumerate(chunk)
+    ]
 
 
 def activation_stats(
@@ -159,36 +161,21 @@ def feature_delta(
     shift_pct = 100 * mean|out - in| / mean|in|; channels whose mean|in|
     is below 1e-12 get NaN as a not-a-value marker.
     """
-    _require_sr(params)
-    ids = _select_ids(data, class_filter, cap)
-    per_class: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]] = {}
-    for start in range(0, len(ids), batch):
-        chunk = ids[start : start + batch]
-        _, cache = host_forward(params, data.x[chunk], "eval")
-        pre, post = cache.sr_in, cache.sr_out
-        delta = np.abs(post - pre)
+    sums: dict[int, list] = {}  # class -> float64 sums of pre, post, |delta|; count
+    for chunk, cache in _sr_readout(params, data, class_filter, cap, batch):
+        maps = (cache.sr_in, cache.sr_out, np.abs(cache.sr_out - cache.sr_in))
         labels = data.y[chunk]
         for k in np.unique(labels):
             sel = labels == k
-            per_class.setdefault(int(k), []).append(
-                (
-                    pre[sel].sum(axis=(0, 2, 3), dtype=np.float64),
-                    post[sel].sum(axis=(0, 2, 3), dtype=np.float64),
-                    delta[sel].sum(axis=(0, 2, 3), dtype=np.float64),
-                    int(sel.sum()),
-                )
-            )
+            acc = sums.setdefault(int(k), [0, 0, 0, 0])
+            for j, t in enumerate(maps):
+                acc[j] = acc[j] + t[sel].sum(axis=(0, 2, 3), dtype=np.float64)
+            acc[3] += int(sel.sum())
     out = []
-    for k in sorted(per_class):
-        pre_sum = sum(t[0] for t in per_class[k])
-        post_sum = sum(t[1] for t in per_class[k])
-        delta_sum = sum(t[2] for t in per_class[k])
-        count = sum(t[3] for t in per_class[k])
-        sr_cfg = params.sr.cfg
-        denom = count * sr_cfg.h * sr_cfg.w
-        pre_mean = pre_sum / denom
-        post_mean = post_sum / denom
-        abs_delta = delta_sum / denom
+    for k in sorted(sums):
+        *totals, count = sums[k]
+        denom = count * params.sr.cfg.h * params.sr.cfg.w
+        pre_mean, post_mean, abs_delta = (t / denom for t in totals)
         abs_in = np.abs(pre_mean)  # insertion point is post-ReLU, so pre >= 0
         shift = np.where(
             abs_in < 1e-12, np.nan, 100.0 * abs_delta / np.maximum(abs_in, 1e-300)
