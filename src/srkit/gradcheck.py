@@ -83,7 +83,7 @@ def _adjoint(rng, fwd, bwd, *inputs, step: float = STEP_PRIMITIVE) -> float:
 
 
 def _conv3x3(rng, shape, stride: int) -> float:
-    def bwd(g, x, w):  # stage 1's conv3x3_bwd_weight is checked against the same FD
+    def bwd(g, x, w):  # grad_w and stage 1's rule, stacked, both meet the one FD grad_w
         grad_x, grad_w = ops.conv3x3_bwd(x, w, g, stride)
         return grad_x, np.stack([grad_w, ops.conv3x3_bwd_weight(x, w, g, stride)])
 
@@ -140,7 +140,7 @@ def _micro_host(rng, size: str) -> float:
     for _ in range(_DRAWS):
         params = host_init(cfg, rng, dtype=np.float64)
         params.sr.memory[:] = 0.5 * _u(rng, *params.sr.memory.shape)
-        x, labels = _u(rng, n, 3, side, side), rng.integers(0, classes, n)
+        x, labels = _u(rng, n, cfg.in_channels, side, side), rng.integers(0, classes, n)
         fwd = lambda: host_forward(params, x, "train", make_rng(_MASK_SEED))
         grads = host_backward(params, fwd()[1], labels)
         pairs = [(g, t) for (_, g), (_, t) in zip(grads.items(), params.items())]

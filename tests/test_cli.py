@@ -133,9 +133,9 @@ class TestTrain:
         """A bad SRKIT_THREADS, or a seed outside [0, 2**64) given to any
         command, ends in exit 2 naming it before anything is written."""
         monkeypatch.setenv("SRKIT_THREADS", threads)
-        paths = {"cfg": write_config(tmp_path, TINY), "ck": tiny_artifacts[2],
-                 "bad_seed_cfg": write_config(tmp_path, {"train": {"seed": -1}}, "b.json"),
-                 "out": str(tmp_path / "x")}
+        bad_seed = write_config(tmp_path, {"train": {"seed": -1}}, "bad_seed.json")
+        paths = {"cfg": write_config(tmp_path, TINY), "bad_seed_cfg": bad_seed,
+                 "ck": tiny_artifacts[2], "out": str(tmp_path / "x")}
         assert run_cli(argv.format(**paths).split()) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
