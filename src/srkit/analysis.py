@@ -169,7 +169,7 @@ def feature_delta(
             sel = labels == k
             acc = sums.setdefault(int(k), [0, 0, 0, 0])
             for j, t in enumerate(maps):
-                acc[j] = acc[j] + t[sel].sum(axis=(0, 2, 3), dtype=np.float64)
+                acc[j] += t[sel].sum(axis=(0, 2, 3), dtype=np.float64)
             acc[3] += int(sel.sum())
     out = []
     for k in sorted(sums):
