@@ -54,7 +54,14 @@ class TrainConfig:
         if self.epochs < 0:
             raise ConfigError(f"train.epochs must be >= 0, got {self.epochs}")
         if self.weight_decay < 0:
-            raise ConfigError(f"train.weight_decay must be >= 0")
+            raise ConfigError(f"train.weight_decay must be >= 0, got {self.weight_decay}")
+        if self.lr_decay_factor <= 0:
+            raise ConfigError(f"train.lr_decay_factor must be > 0, got {self.lr_decay_factor}")
+        if any(d < 0 for d in self.decay_epochs or ()):
+            raise ConfigError(f"train.decay_epochs entries must be >= 0, got {self.decay_epochs}")
+        if self.early_stop_patience < 0:
+            raise ConfigError("train.early_stop_patience must be >= 0 (0 disables), "
+                              f"got {self.early_stop_patience}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"train.seed must be in [0, 2**64), got {self.seed}")
         return self
@@ -143,7 +150,7 @@ def train(
     ``splits`` is ``synth_generate(spec)`` when the caller already has it.
     Ties on validation accuracy keep the earliest epoch. Early stopping
     fires after ``early_stop_patience`` epochs without improvement
-    (disabled when the patience is 0 or negative).
+    (disabled when the patience is 0).
     """
     train_cfg.validate()
     train_set, val_set, _ = splits if splits is not None else synth_generate(spec)

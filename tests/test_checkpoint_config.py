@@ -175,6 +175,11 @@ class TestConfig:
         ("train", "seed", -1),
         ("train", "seed", 2**64),
         ("data", "seed", -1),
+        ("train", "weight_decay", -1e-4),
+        ("train", "lr_decay_factor", -1),
+        ("train", "lr_decay_factor", 0),
+        ("train", "decay_epochs", [-3, 2]),
+        ("train", "early_stop_patience", -1),
     ])
     def test_bad_value_named(self, section, key, value):
         doc = {key: value}
