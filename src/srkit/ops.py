@@ -18,13 +18,13 @@ into independent blocks (``_each_chunk``); numpy releases the GIL in BLAS,
 in copies and in elementwise loops. The 3x3 convolutions take the batch in
 chunks of ``_CHUNK`` samples; every chunk's GEMMs keep their shapes and
 the weight-gradient partials are added in chunk order. The SR block's
-memory-bound passes (here ``conv1x1_bwd``'s ``grad_x`` and its
-channel-major copy of ``x``; the recall, memory gradient and residual
-adds in ``sr_block``) each fill one buffer the caller allocated, in
-blocks of about ``_TASK`` elements (``_block_size``) that leave every
-sum as the unsplit pass has it. Block boundaries follow from the shape
-alone, so the bits do not depend on the pool size, and a pass that fits
-in one block runs inline.
+memory-bound passes (here ``conv1x1_fwd``'s channel sum, ``conv1x1_bwd``'s
+``grad_x`` and its channel-major copy of ``x``; the recall, memory and
+gate gradients and residual adds in ``sr_block``) each fill one buffer
+the caller allocated, in blocks of sample rows or columns sized from
+``_TASK`` (``_block_size``) that leave every sum as the unsplit pass has
+it. Block boundaries follow from the shape alone, so the bits do not
+depend on the pool size, and a pass that fits in one block runs inline.
 
 Ops preserve the input dtype: float32 in production, float64 when a
 finite-difference oracle reruns them on upcast copies.
@@ -59,9 +59,21 @@ def conv1x1_fwd(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"weight: channel axis is {weight.shape}, expected ({c},)"
         )
-    out = weight[0] * x[:, 0:1]
-    for ch in range(1, c):
-        out += weight[ch] * x[:, ch : ch + 1]
+    if x.size <= _TASK or h * w == 1:  # one task, or c would be the reduce's inner axis
+        out = weight[0] * x[:, 0:1]
+        for ch in range(1, c):
+            out += weight[ch] * x[:, ch : ch + 1]
+        return out
+    # the reduce adds the non-inner channel axis in order, from -0.0 as the loop
+    # (from 0.0, -0.0 sums turn 0.0); a quarter task bounds the product temporary
+    out = np.empty((n, 1, h, w), dtype=np.result_type(weight, x))
+    rows, wc = max(2, (_TASK >> 2) // (c * h * w)), weight[:, None, None]
+
+    def squeeze(b):
+        np.add.reduce(wc * x[b : b + rows], axis=1, keepdims=True,
+                      out=out[b : b + rows], initial=-0.0)
+
+    _each_chunk(squeeze, n, rows)
     return out
 
 

@@ -16,12 +16,14 @@ learns which blocks to recall for a given input. Ablating a trained block
 All layers are bias-free so that the parameter count is exactly
 ``c + h*w*u + u*p + p*c*h*w``.
 
-The passes that stream whole (n, c, h, w) maps (the recall, the residual
-adds, the memory gradient and the squeeze's ``grad_x``) each fill one
-preallocated buffer in blocks fixed by the shape, run on the ``ops``
-worker pool; they give the bits of the unsplit products and sums. The
-gate gradient and the squeeze weight gradient stay one BLAS call each,
-since splitting their sums would change the bits.
+The passes that stream whole (n, c, h, w) maps (the squeeze, the recall,
+the residual adds, the memory and gate gradients and the squeeze's
+``grad_x``) each fill one preallocated buffer in blocks fixed by the
+shape, run on the ``ops`` worker pool, with the bits of the unsplit
+products and sums (the gate gradient splits only the rows of its gemm).
+The squeeze weight gradient stays one gemv: OpenBLAS's sgemv takes rows
+in groups of 4, so channel blocks not starting at a multiple of 4 changed
+the bits.
 """
 
 from __future__ import annotations
@@ -203,6 +205,21 @@ def _matmul_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in at most two row blocks on the worker pool, with the unsplit gemm's
+    sums: each block packs all of b, so more blocks cost more than they save.
+    _block_size leaves no one-row block, which numpy would hand to gemv."""
+    m = a.shape[0]
+    out = np.empty((m, b.shape[1]), dtype=np.result_type(a, b))
+    rows = max(ops._block_size(m, a.shape[1]), -(-m // 2))
+
+    def block(r):
+        np.dot(a[r : r + rows], b, out=out[r : r + rows])
+
+    ops._each_chunk(block, m, rows)
+    return out
+
+
 def _add_into(acc: np.ndarray, x: np.ndarray) -> None:
     """acc += x over (n, ...) maps in row blocks on the worker pool."""
     n = acc.shape[0]
@@ -236,10 +253,10 @@ def sr_backward(
             f"grad_out: batch axis is {grad_out.shape[0]}, expected {cache.x.shape[0]}"
         )
 
-    n = grad_out.shape[0]
+    n, p = grad_out.shape[0], params.cfg.p
     grad_memory = _matmul_columns(cache.alpha.T, grad_out.reshape(n, -1))
     grad_memory = grad_memory.reshape(params.memory.shape)
-    grad_alpha = np.tensordot(grad_out, params.memory, axes=([1, 2, 3], [1, 2, 3]))
+    grad_alpha = _matmul_rows(grad_out.reshape(n, -1), params.memory.reshape(p, -1).T)
     grad_logits = ops.softmax_bwd(cache.alpha, grad_alpha)
     grad_hidden, grad_fc2 = ops.linear_bwd(cache.hidden, params.fc2_w, grad_logits)
     if params.cfg.hidden_relu:

@@ -19,6 +19,7 @@ from srkit.errors import ConfigError, DimensionError, NumericError
 from srkit.rng import make_rng
 
 from oracles import (
+    conv1x1_channels,
     conv1x1_loops,
     conv3x3_bwd_loops,
     conv3x3_loops,
@@ -51,6 +52,12 @@ class TestConv1x1:
         x = np.zeros((2, 3, 4, 4), dtype=np.float32)
         out = ops.conv1x1_fwd(x, u(rng, 3).astype(np.float32))
         assert np.array_equal(out, np.zeros((2, 1, 4, 4), dtype=np.float32))
+        # every product is -0.0, and -0.0 + -0.0 stays -0.0 in the loop: the
+        # sign must survive inline and on the pool (more than ops._TASK elements)
+        for shape in [(2, 3, 4, 4), (6, 1024, 14, 14)]:
+            weight = -1.0 - rng.random(shape[1], dtype=np.float32)
+            out = ops.conv1x1_fwd(np.zeros(shape, dtype=np.float32), weight)
+            assert not out.any() and np.signbit(out).all()
 
     def test_channel_mean_weight(self):
         x = np.zeros((1, 4, 2, 2), dtype=np.float32)
@@ -67,6 +74,13 @@ class TestConv1x1:
             got = ops.conv1x1_fwd(x, weight)
             want = conv1x1_loops(x, weight)
             assert np.array_equal(got, want), "accumulation order must match"
+        # shapes of more than ops._TASK elements: pooled blocks of 2 samples
+        # and of one, and h*w = 1, where the channel axis would be innermost
+        for shape in [(9, 1024, 14, 14), (20, 60000, 1, 1)]:
+            x = rng.standard_normal(shape, dtype=np.float32)
+            weight = rng.standard_normal(shape[1], dtype=np.float32)
+            got = ops.conv1x1_fwd(x, weight)
+            assert got.tobytes() == conv1x1_channels(x, weight).tobytes(), shape
 
     def test_shape_error_names_axis(self, rng):
         with pytest.raises(DimensionError, match="channel"):

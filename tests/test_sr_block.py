@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from srkit import ops
 from srkit.errors import ConfigError, UsageError
 from srkit.rng import make_rng
 from srkit.sr_block import (
     SRConfig,
+    _matmul_rows,
     recall_map,
     sr_ablate,
     sr_backward,
@@ -211,11 +213,12 @@ class TestWorkerPool:
     worker pool, with the bits of the unsplit formulas."""
 
     # batch 32 at the ResNet shape: 7 blocks of 5 rows or 32768 columns, the
-    # last ragged; batch 17 at 512x16x16: row blocks of 8 would leave a last
+    # last ragged; batch 9 there: the squeeze's blocks of 2 samples end in one
+    # of one sample; batch 17 at 512x16x16: row blocks of 8 would leave a last
     # block of one row (a gemv in numpy), so they grow to 9 and 8; p = 1 makes
     # the memory gradient a gemv, which stays one block
     @pytest.mark.parametrize("n, shape", [
-        (32, RESNET_SHAPE), (17, WIDE_SHAPE),
+        (32, RESNET_SHAPE), (9, RESNET_SHAPE), (17, WIDE_SHAPE),
         (40, dict(c=1024, h=7, w=7, u=8, p=1, allow_off_grid=True))])
     def test_same_bytes_as_unsplit_formulas_on_1_2_3_workers(
             self, use_workers, pool_submissions, n, shape):
@@ -229,22 +232,42 @@ class TestWorkerPool:
             del out, cache, grads, grad_x
         assert len(pool_submissions) > 0
 
-    @pytest.mark.parametrize("pass_", ["recall", "residual add"])
+    @pytest.mark.parametrize("pass_", ["recall", "residual add", "squeeze", "gate gradient"])
     def test_overflow_raises_from_a_worker(self, use_workers, pool_submissions, pass_):
-        params, x, _ = pool_case(17, WIDE_SHAPE)
+        params, x, g = pool_case(17, WIDE_SHAPE)
         params.memory[:] = 3e38
         if pass_ == "recall":  # weights that are not convex, so the products overflow
             run = lambda: recall_map(params, np.full((17, params.cfg.p), 4.0, np.float32))
-        else:  # uniform alpha recalls 3e38, and x + 3e38 overflows
+        elif pass_ == "residual add":  # uniform alpha recalls 3e38, and x + 3e38 overflows
             params.squeeze_w[:] = 0.0
             x[:] = 3e38
             run = lambda: sr_forward(params, x)[0]
+        elif pass_ == "squeeze":  # 4 * 3e38 overflows in every product
+            params.squeeze_w[:] = 4.0
+            x[:] = 3e38
+            run = lambda: ops.conv1x1_fwd(x, params.squeeze_w)
+        else:  # g * 3e38 overflows in the sums of the gate's gemm
+            g[:] = 1.0
+            run = lambda: _matmul_rows(g.reshape(17, -1), params.memory.reshape(10, -1).T)
         use_workers(2)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             run()
         assert len(pool_submissions) > 0
         with np.errstate(over="ignore"):
             assert np.isinf(run()).all()
+
+    def test_every_pass_splits_at_the_resnet_shape(self, use_workers, chunk_calls):
+        params, x, g = pool_case(32, RESNET_SHAPE)
+        use_workers(2)
+        _, cache = sr_forward(params, x)
+        sr_backward(params, cache, g)
+        assert {name for name, n, size in chunk_calls if n > size} == {
+            "conv1x1_fwd.<locals>.squeeze", "_matmul_columns.<locals>.block",
+            "_add_into.<locals>.block", "_matmul_rows.<locals>.block",
+            "conv1x1_bwd.<locals>.channel_major", "conv1x1_bwd.<locals>.scale"}
+        assert all(n > size for _, n, size in chunk_calls)
+        assert [-(-n // size) for name, n, size in chunk_calls
+                if name == "_matmul_rows.<locals>.block"] == [2]  # the gate: two row blocks
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_default_host_shape_runs_inline(self, use_workers, pool_submissions, n):
