@@ -42,6 +42,9 @@ def test_compare_lower_is_better_and_ties_do_not_win():
     assert got["change_better_in_pairs"] == "2/4"
     assert got["median_gap"] == 0.5 and got["ratio_of_medians"] == 0.6667
     assert got["claim_holds"] is False
+    assert benchpairs.compare([0.0, 0.0], [0.0, 0.0], "lower")["ratio_of_medians"] is None
+    assert benchpairs.compare(PARENT[:9], [v + 60 for v in PARENT[:9]], "higher",
+                              pairs=10)["change_better_in_pairs"] == "9/10"
 
 
 def test_summarize_pairs_by_seed_and_counts_failures():
@@ -54,7 +57,22 @@ def test_summarize_pairs_by_seed_and_counts_failures():
     assert s["seeds"] == [1, 2, 3] and s["runs"] == 6 and s["runs_correct"] == 5
     assert s["exit_codes"] == {"parent": [0, 0, 0], "change": [0, 0, 1]}
     assert list(s["metrics"]) == ["samples_per_s"]  # no run reported pass_s
-    assert s["metrics"]["samples_per_s"]["change_better_in_pairs"] == "2/2"
+    assert s["metrics"]["samples_per_s"]["change_better_in_pairs"] == "2/3"  # a failure loses
+
+
+def test_bench_doc_splits_plain_and_traced_runs():
+    runs = [{**record(side, seed, samples_per_s=v), "trace": 0, "env": {"nproc": 2}}
+            for side, seed, v in (("parent", 1, 10.0), ("change", 1, 12.0))]
+    runs += [{**record(side, 4, **{"ops.conv3x3_ms": 0.0}), "trace": 1, "env": None}
+             for side in ("parent", "change")]  # a layer the workload never runs
+    doc = benchpairs.bench_doc(runs, 20.0, {"samples_per_s": "higher",
+                                            "ops.conv3x3_ms": "lower"}, parent_commit="abc")
+    assert doc["seeds"] == [1] and doc["per_layer"]["seeds"] == [4]
+    assert doc["env"] == {"nproc": 2} and doc["parent_commit"] == "abc"
+    assert doc["workloads"]["sr_block_resnet"]["metrics"]["samples_per_s"]["median_gap"] == 2.0
+    assert doc["per_layer"]["workloads"]["sr_block_resnet"] == {
+        "ops.conv3x3_ms": {"parent": 0.0, "change": 0.0}}
+    assert len(doc["runs"]) == 4 and all("env" not in r for r in doc["runs"])
 
 
 def test_seed_list():

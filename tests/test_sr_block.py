@@ -213,13 +213,13 @@ class TestWorkerPool:
     worker pool, with the bits of the unsplit formulas."""
 
     # batch 32 at the ResNet shape: 7 blocks of 5 rows or 32768 columns, the
-    # last ragged; batch 9 there: the squeeze's blocks of 2 samples end in one
-    # of one sample; batch 17 at 512x16x16: row blocks of 8 would leave a last
+    # last ragged; batch 17 at 512x16x16: row blocks of 8 would leave a last
     # block of one row (a gemv in numpy), so they grow to 9 and 8; p = 1 makes
-    # the memory gradient a gemv, which stays one block
+    # the memory gradient a gemv, which stays one block; batch 9 at the ResNet
+    # shape: the squeeze's blocks of 2 samples end in one of one sample
     @pytest.mark.parametrize("n, shape", [
-        (32, RESNET_SHAPE), (9, RESNET_SHAPE), (17, WIDE_SHAPE),
-        (40, dict(c=1024, h=7, w=7, u=8, p=1, allow_off_grid=True))])
+        (32, RESNET_SHAPE), (17, WIDE_SHAPE),
+        (40, dict(c=1024, h=7, w=7, u=8, p=1, allow_off_grid=True)), (9, RESNET_SHAPE)])
     def test_same_bytes_as_unsplit_formulas_on_1_2_3_workers(
             self, use_workers, pool_submissions, n, shape):
         params, x, g = pool_case(n, shape)

@@ -38,20 +38,23 @@ def side_stats(values: list[float]) -> dict:
             "values": [round(v, 4) for v in values]}
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
-    """One metric over pairs (parent[i], change[i]); better is "higher" or "lower"."""
-    sign = 1.0 if better == "higher" else -1.0
+def compare(parent: list[float], change: list[float], better: str, pairs: int = 0) -> dict:
+    """One metric over pairs (parent[i], change[i]); better is "higher" or "lower".
+
+    pairs is the number of pairs run, if more: a pair where a side reported
+    nothing (a failed run) is not a win."""
+    sign, pairs = (1.0 if better == "higher" else -1.0), max(pairs, len(parent))
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ps, cs = side_stats(parent), side_stats(change)
-    gap = sign * (statistics.median(change) - statistics.median(parent))
-    spread = ps["q3"] - ps["q1"]
+    pm, cm = statistics.median(parent), statistics.median(change)
+    gap, spread = sign * (cm - pm), ps["q3"] - ps["q1"]
     return {
         "parent": ps, "change": cs, "better": better,
-        "change_better_in_pairs": f"{wins}/{len(parent)}",
-        "ratio_of_medians": round(statistics.median(change) / statistics.median(parent), 4),
+        "change_better_in_pairs": f"{wins}/{pairs}",
+        "ratio_of_medians": round(cm / pm, 4) if pm else None,  # e.g. a layer that never ran
         "median_gap": round(gap, 4),
         "parent_quartile_spread": round(spread, 4),
-        "claim_holds": wins >= math.ceil(0.9 * len(parent)) and gap > spread,
+        "claim_holds": wins >= math.ceil(0.9 * pairs) and gap > spread,
     }
 
 
@@ -72,7 +75,7 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
                     for s in paired if name in by["parent", s]["metrics"]
                     and name in by["change", s]["metrics"]]
             if both:
-                metrics[name] = compare(*map(list, zip(*both)), better)
+                metrics[name] = compare(*map(list, zip(*both)), better, len(paired))
         out[wl] = {
             "seeds": seeds, "runs": len(mine),
             "runs_correct": sum(bool(r["correct"]) for r in mine),
@@ -86,15 +89,17 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
 
 def run_once(checkout: str, side: str, workload: str, seed: int, seconds: float,
              trace: int) -> dict:
-    """One perfbench run in checkout; its exit code and the JSON of its last line."""
+    """One perfbench run in checkout: its exit code, the JSON of its last line,
+    and the last line of its standard error if it failed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     try:
         proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                               timeout=max(300.0, 20 * seconds))
         code, lines = proc.returncode, proc.stdout.strip().splitlines()
+        error = proc.stderr.strip().splitlines()[-1:] if code else []
     except subprocess.TimeoutExpired:
-        code, lines = "timeout", []
+        code, lines, error = "timeout", [], []
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
@@ -103,23 +108,18 @@ def run_once(checkout: str, side: str, workload: str, seed: int, seconds: float,
     return {
         "workload": workload, "seed": seed, "side": side, "trace": trace, "exit": code,
         "correct": result.get("correct", False), "attempted": result.get("attempted"),
-        "failed": result.get("failed"), "env": env,
+        "failed": result.get("failed"), "error": error[0] if error else None, "env": env,
         "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()},
     }
 
 
-def run_pairs(parent: str, change: str, workloads, seeds, seconds, trace, log) -> list[dict]:
-    runs = []
+def run_pairs(parent: str, change: str, workloads, seeds, seconds, trace):
+    """Yield run_once() records: per seed and workload, both sides in turn."""
     for i, seed in enumerate(seeds):
         for wl in workloads:
             order = [("parent", parent), ("change", change)]
             for side, checkout in order if i % 2 == 0 else order[::-1]:
-                rec = run_once(checkout, side, wl, seed, seconds, trace)
-                runs.append(rec)
-                log(f"{wl} seed {seed} {side}: exit {rec['exit']} correct {rec['correct']} "
-                    + " ".join(f"{k}={rec['metrics'][k]:.4g}" for k in
-                               ("samples_per_s", "pass_s") if k in rec["metrics"]))
-    return runs
+                yield run_once(checkout, side, wl, seed, seconds, trace)
 
 
 def seed_list(text: str) -> list[int]:
@@ -144,6 +144,36 @@ def commit(checkout: str):
         return None
 
 
+def bench_doc(runs: list[dict], seconds: float, dirs: dict[str, str], **commits) -> dict:
+    """The BENCH_<n>.json document of the run_once() records so far."""
+    plain = [r for r in runs if r["trace"] == 0]
+    traced = [r for r in runs if r["trace"] == 1]
+    command = f"python3 perfbench/run.py --workload <name> --seed <seed> --seconds {seconds:g}"
+    doc = {
+        "what": "perfbench end-to-end metrics, parent commit against the change, "
+                "alternating pairs per workload",
+        "command": command + " --trace 0",
+        "seeds": sorted({r["seed"] for r in plain}),
+        "order": "the parent ran first in even-numbered pairs (from 0), the change in "
+                 "odd ones; one run at a time",
+        **commits,
+        "env": next((r["env"] for r in runs if r["env"]), None),
+        "workloads": summarize(plain, dirs),
+    }
+    if traced:
+        doc["per_layer"] = {
+            "command": command + " --trace 1",
+            "seeds": sorted({r["seed"] for r in traced}),
+            "statistic": "median of the runs per side; times are per unit",
+            "workloads": {wl: {name: {"parent": m["parent"]["median"],
+                                      "change": m["change"]["median"]}
+                               for name, m in s["metrics"].items()}
+                          for wl, s in summarize(traced, dirs).items()},
+        }
+    doc["runs"] = [{k: v for k, v in r.items() if k != "env"} for r in runs]
+    return doc
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -158,39 +188,20 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     log = lambda msg: print(msg, file=sys.stderr, flush=True)
 
-    dirs = directions(args.change)
-    runs = run_pairs(args.parent, args.change, args.workloads, args.seeds,
-                     args.seconds, 0, log)
-    traced = run_pairs(args.parent, args.change, args.workloads, args.trace_seeds,
-                       args.seconds, 1, log)
-    doc = {
-        "what": "perfbench end-to-end metrics, parent commit against the change, "
-                f"{len(args.seeds)} alternating pairs per workload",
-        "command": f"python3 perfbench/run.py --workload <name> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "seeds": args.seeds,
-        "order": "the parent ran first in even-numbered pairs (from 0), the change in "
-                 "odd ones; one run at a time",
-        "parent_commit": commit(args.parent), "change_commit": commit(args.change),
-        "env": next((r["env"] for r in runs + traced if r["env"]), None),
-        "workloads": summarize(runs, dirs),
-        "runs": runs + traced,
-    }
-    if traced:
-        doc["per_layer"] = {
-            "command": doc["command"].replace("--trace 0", "--trace 1"),
-            "seeds": args.trace_seeds,
-            "statistic": "median of the runs per side; times are per unit",
-            "workloads": {wl: {name: {"parent": m["parent"]["median"],
-                                      "change": m["change"]["median"]}
-                               for name, m in s["metrics"].items()}
-                          for wl, s in summarize(traced, dirs).items()},
-        }
-    for r in doc["runs"]:
-        del r["env"]
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    dirs, runs = directions(args.change), []
+    commits = {"parent_commit": commit(args.parent), "change_commit": commit(args.change)}
+    for trace, seeds in ((0, args.seeds), (1, args.trace_seeds)):
+        for rec in run_pairs(args.parent, args.change, args.workloads, seeds,
+                             args.seconds, trace):
+            runs.append(rec)
+            log(f"{rec['workload']} seed {rec['seed']} {rec['side']}: exit {rec['exit']} "
+                f"correct {rec['correct']} " + " ".join(
+                    f"{k}={rec['metrics'][k]:.4g}" for k in ("samples_per_s", "pass_s")
+                    if k in rec["metrics"]))
+            doc = bench_doc(runs, args.seconds, dirs, **commits)
+            with open(args.out, "w", encoding="utf-8") as f:  # after every run
+                json.dump(doc, f, indent=1)
+                f.write("\n")
     for wl, s in doc["workloads"].items():
         m = s["metrics"].get("samples_per_s")
         if m:
