@@ -21,8 +21,9 @@ both in the CSV, so any alternative normalization can be recomputed).
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class ActivationRecord:
 
 @dataclass
 class ActivationStats:
-    class_label: object  # int class, or "all" for the pooled group
+    class_label: int
     mean: np.ndarray
     std: np.ndarray
     n_samples: int
@@ -70,76 +71,48 @@ def _require_sr(params: HostParams) -> SRParams:
     return params.sr
 
 
-def _select_ids(
-    data: Dataset, class_filter: Optional[Sequence[int]], cap: Optional[int]
-) -> list[int]:
-    """Sample ids in ascending order, at most ``cap`` per class."""
-    wanted = None if class_filter is None else set(class_filter)
+def _sr_readout(params, data):
+    """(ids, eval-mode host cache) per batch of the analyzed samples.
+
+    The samples are the first ``SAMPLE_CAP_PER_CLASS`` of each class, in
+    ascending id order.
+    """
+    _require_sr(params)
     taken: dict[int, int] = {}
     ids = []
     for i in range(len(data)):
         k = int(data.y[i])
-        if wanted is not None and k not in wanted:
-            continue
-        if cap is not None and taken.get(k, 0) >= cap:
-            continue
-        taken[k] = taken.get(k, 0) + 1
-        ids.append(i)
-    return ids
-
-
-def _sr_readout(params, data, class_filter, cap, batch):
-    """(ids, eval-mode host cache) per batch of the selected samples."""
-    _require_sr(params)
-    ids = _select_ids(data, class_filter, cap)
-    for start in range(0, len(ids), batch):
-        chunk = ids[start : start + batch]
+        if taken.get(k, 0) < SAMPLE_CAP_PER_CLASS:
+            taken[k] = taken.get(k, 0) + 1
+            ids.append(i)
+    for start in range(0, len(ids), EVAL_BATCH):
+        chunk = ids[start : start + EVAL_BATCH]
         yield chunk, host_forward(params, data.x[chunk], "eval")[1]
 
 
-def collect_activations(
-    params: HostParams,
-    data: Dataset,
-    class_filter: Optional[Sequence[int]] = None,
-    cap: Optional[int] = SAMPLE_CAP_PER_CLASS,
-    batch: int = 256,
-) -> list[ActivationRecord]:
-    """One record per matching sample, eval mode (dropout off)."""
+def collect_activations(params: HostParams, data: Dataset) -> list[ActivationRecord]:
+    """One record per analyzed sample, eval mode (dropout off)."""
     return [
         ActivationRecord(i, int(data.y[i]), cache.sr_cache.alpha[row].copy())
-        for chunk, cache in _sr_readout(params, data, class_filter, cap, batch)
+        for chunk, cache in _sr_readout(params, data)
         for row, i in enumerate(chunk)
     ]
 
 
-def activation_stats(
-    records: Iterable[ActivationRecord], group: str = "per_class"
-) -> list[ActivationStats]:
-    """Mean and unbiased std of alpha, per class or pooled.
+def activation_stats(records: Iterable[ActivationRecord]) -> list[ActivationStats]:
+    """Mean and unbiased std of alpha per class.
 
-    Groups come back sorted by class label; a single-record group has
-    zero std by convention.
+    Classes come back sorted by label; a single-record class has zero std
+    by convention.
     """
-    if group not in ("per_class", "all"):
-        raise ConfigError(f"group must be 'per_class' or 'all', got {group!r}")
-    records = list(records)
-    if not records:
-        return []
-    buckets: dict[object, list[np.ndarray]] = {}
-    if group == "all":
-        buckets["all"] = [r.alpha for r in records]
-    else:
-        for r in records:
-            buckets.setdefault(r.class_label, []).append(r.alpha)
+    buckets: dict[int, list[np.ndarray]] = {}
+    for r in records:
+        buckets.setdefault(r.class_label, []).append(r.alpha)
     out = []
-    for label in sorted(buckets, key=str) if group == "all" else sorted(buckets):
+    for label in sorted(buckets):
         stack = np.stack(buckets[label]).astype(np.float64)
         mean = stack.mean(axis=0)
-        std = (
-            np.zeros_like(mean)
-            if stack.shape[0] < 2
-            else stack.std(axis=0, ddof=1)
-        )
+        std = np.zeros_like(mean) if len(stack) < 2 else stack.std(axis=0, ddof=1)
         out.append(ActivationStats(label, mean, std, stack.shape[0]))
     return out
 
@@ -149,20 +122,14 @@ def memory_channel_means(sr: SRParams) -> np.ndarray:
     return sr.memory.mean(axis=1)
 
 
-def feature_delta(
-    params: HostParams,
-    data: Dataset,
-    class_filter: Optional[Sequence[int]] = None,
-    cap: Optional[int] = SAMPLE_CAP_PER_CLASS,
-    batch: int = 256,
-) -> list[DeltaStats]:
+def feature_delta(params: HostParams, data: Dataset) -> list[DeltaStats]:
     """Per-class, per-channel shift between the SR input and output maps.
 
     shift_pct = 100 * mean|out - in| / mean|in|; channels whose mean|in|
     is below 1e-12 get NaN as a not-a-value marker.
     """
     sums: dict[int, list] = {}  # class -> float64 sums of pre, post, |delta|; count
-    for chunk, cache in _sr_readout(params, data, class_filter, cap, batch):
+    for chunk, cache in _sr_readout(params, data):
         maps = (cache.sr_in, cache.sr_out, np.abs(cache.sr_out - cache.sr_in))
         labels = data.y[chunk]
         for k in np.unique(labels):
@@ -253,8 +220,6 @@ def write_ablation_csv(path: str, acc_full: float, acc_ablated: float, delta: fl
 
 
 def _write_csv(path: str, rows: list[list]) -> None:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)

@@ -1,4 +1,4 @@
-"""Command-line surface: train, eval, params, gradcheck, bench, inspect.
+"""Command-line surface: train, eval, params, gradcheck, inspect.
 
 Exit codes: 0 success, 1 failed gradient check, 2 configuration problem
 (the message names the offending key or value) or malformed checkpoint
@@ -62,11 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--size", choices=("micro", "small"), default="micro")
     p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("bench", help="forward-time overhead of the SR block")
-    p.add_argument("config")
-    p.add_argument("--repeats", type=int, default=9)
-    p.add_argument("--batch", type=int, default=32)
 
     p = sub.add_parser("inspect", help="write analysis CSVs and PGM heat maps")
     p.add_argument("checkpoint")
@@ -185,22 +180,7 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_bench(args) -> int:
-    from .bench import run_bench
-    from .config import load_config
-
-    run = load_config(args.config)
-    result = run_bench(run.host, args.repeats, args.batch)
-    print(f"t_plain_ms {result.t_plain_ms:.3f}")
-    print(f"t_zero_memory_ms {result.t_zero_memory_ms:.3f}")
-    print(f"t_sr_ms {result.t_sr_ms:.3f}")
-    print(f"overhead_pct {result.overhead_pct:.2f}")
-    return EXIT_OK
-
-
 def cmd_inspect(args) -> int:
-    import os as _os
-
     from .analysis import (
         ablation_report,
         activation_stats,
@@ -213,30 +193,28 @@ def cmd_inspect(args) -> int:
         write_pgm,
     )
     from .data import synth_generate
-
-    meta, run, params = _load_trained(args.checkpoint, args.dataset_seed)
     from .errors import ConfigError
 
+    meta, run, params = _load_trained(args.checkpoint, args.dataset_seed)
     if params.sr is None:
         raise ConfigError("checkpoint has no SR block; nothing to inspect")
-    _os.makedirs(args.outdir, exist_ok=True)
+    os.makedirs(args.outdir, exist_ok=True)
     _, val_set, test_set = synth_generate(run.data)
 
-    records = collect_activations(params, val_set)
-    stats = activation_stats(records, "per_class")
-    write_activations_csv(_os.path.join(args.outdir, "activations.csv"), stats)
+    stats = activation_stats(collect_activations(params, val_set))
+    write_activations_csv(os.path.join(args.outdir, "activations.csv"), stats)
 
     deltas = feature_delta(params, val_set)
-    write_delta_csv(_os.path.join(args.outdir, "delta.csv"), deltas)
+    write_delta_csv(os.path.join(args.outdir, "delta.csv"), deltas)
 
     acc_full, acc_ablated, delta = ablation_report(params, test_set)
     write_ablation_csv(
-        _os.path.join(args.outdir, "ablation.csv"), acc_full, acc_ablated, delta
+        os.path.join(args.outdir, "ablation.csv"), acc_full, acc_ablated, delta
     )
 
     maps = memory_channel_means(params.sr)
     for i in range(maps.shape[0]):
-        write_pgm(_os.path.join(args.outdir, f"memory_block_{i}.pgm"), maps[i])
+        write_pgm(os.path.join(args.outdir, f"memory_block_{i}.pgm"), maps[i])
     print(f"wrote analysis outputs to {args.outdir}")
     print(f"acc_full {acc_full:.6f}")
     print(f"acc_ablated {acc_ablated:.6f}")
@@ -255,7 +233,6 @@ def main(argv=None) -> int:
         "eval": cmd_eval,
         "params": cmd_params,
         "gradcheck": cmd_gradcheck,
-        "bench": cmd_bench,
         "inspect": cmd_inspect,
     }[args.command]
     try:

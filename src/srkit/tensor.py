@@ -9,8 +9,6 @@ same (dtype-preserving) ops on upcast copies.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DimensionError
@@ -18,23 +16,14 @@ from .errors import DimensionError
 AXIS_NAMES = ("batch", "channel", "height", "width")
 
 
-class Shape(NamedTuple):
-    """Extents of a rank-4 feature map."""
-
-    n: int
-    c: int
-    h: int
-    w: int
-
-
-def check_nchw(x: np.ndarray, name: str = "x") -> Shape:
-    """Validate a rank-4 feature map and return its Shape."""
+def check_nchw(x: np.ndarray, name: str = "x") -> tuple[int, int, int, int]:
+    """Validate a rank-4 feature map and return its (n, c, h, w) extents."""
     if x.ndim != 4:
         raise DimensionError(f"{name} must be rank 4 (n,c,h,w), got rank {x.ndim}")
     for axis, extent in enumerate(x.shape):
         if extent < 1:
             raise DimensionError(f"{name} has empty {AXIS_NAMES[axis]} axis")
-    return Shape(*x.shape)
+    return x.shape
 
 
 def check_axis(actual: int, expected: int, axis: str, name: str = "x") -> None:

@@ -16,6 +16,7 @@ followed by the dropout masks inside the forward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -95,9 +96,12 @@ def sgd_step(
     """One in-place update: v <- m*v + g + wd*p; p <- p - lr(epoch)*v."""
     lr = np.float32(lr_at(cfg, epoch))
     momentum = np.float32(cfg.momentum)
-    for (name, p), (gname, g) in zip(params.items(), grads.items()):
-        if p.shape != g.shape:
-            raise ConfigError(f"gradient shape mismatch for {name}: {g.shape}")
+    pairs = list(zip_longest(params.items(), grads.items(), fillvalue=(None, None)))
+    for (name, p), (gname, g) in pairs:  # check every tensor before updating any
+        if name != gname or p.shape != g.shape:
+            got = "no gradient" if g is None else f"gradient {gname} of shape {g.shape}"
+            raise ConfigError(f"gradient mismatch for {name or gname}: got {got}")
+    for (name, p), (_, g) in pairs:
         wd = cfg.weight_decay
         if name == "sr.memory" and not cfg.decay_memory:
             wd = 0.0

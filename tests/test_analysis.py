@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from srkit import analysis
 from srkit.analysis import (
     ablation_report,
     activation_stats,
@@ -71,12 +72,13 @@ class TestCollect:
         assert len(records) == len(val_set)
         assert [r.sample_id for r in records] == sorted(r.sample_id for r in records)
 
-    def test_class_filter_and_cap(self, untrained):
+    def test_class_filter_and_cap(self, untrained, monkeypatch):
+        """At most SAMPLE_CAP_PER_CLASS records per class, the lowest ids first."""
         params, (_, val_set, _) = untrained
-        records = collect_activations(params, val_set, class_filter=[1])
-        assert all(r.class_label == 1 for r in records)
-        capped = collect_activations(params, val_set, cap=1)
-        assert len(capped) == SPEC.classes
+        monkeypatch.setattr(analysis, "SAMPLE_CAP_PER_CLASS", 1)
+        capped = collect_activations(params, val_set)
+        assert [r.sample_id for r in capped] == sorted(
+            int(np.flatnonzero(val_set.y == k)[0]) for k in range(SPEC.classes))
 
     def test_missing_sr_rejected(self, untrained):
         _, (_, val_set, _) = untrained
@@ -108,12 +110,6 @@ class TestStats:
             assert abs(s.mean.sum() - 1.0) < 1e-4
             assert np.all(s.std >= 0)
         assert [s.class_label for s in stats] == sorted(s.class_label for s in stats)
-
-    def test_all_group_pools_everything(self, untrained):
-        params, (_, val_set, _) = untrained
-        (s,) = activation_stats(collect_activations(params, val_set), group="all")
-        assert s.class_label == "all"
-        assert s.n_samples == len(val_set)
 
 
 class TestMemoryMaps:

@@ -1,5 +1,6 @@
 """tools/benchpairs.py: the paired summary on fixed numbers (no perfbench run)."""
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -78,3 +79,5 @@ def test_bench_doc_splits_plain_and_traced_runs():
 def test_seed_list():
     assert benchpairs.seed_list("41-44") == [41, 42, 43, 44]
     assert benchpairs.seed_list("7,9") == [7, 9]
+    with pytest.raises(argparse.ArgumentTypeError, match="empty"):
+        benchpairs.seed_list("50-41")

@@ -305,70 +305,6 @@ class TestGradcheck:
             assert failed == FAILED_ROWS[rule] | {"micro_host"}, seed
 
 
-class TestBench:
-    def test_too_few_repeats_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"host": {"sr_insert": 3}})
-        assert run_cli(["bench", cfg, "--repeats", "2"]) == 2
-        assert "repeats" in capsys.readouterr().err
-
-    def test_reports_three_variants(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            {"host": {"stage_channels": [4, 4, 4, 4], "in_h": 16, "in_w": 16,
-                      "classes": 4, "sr_insert": 3}},
-        )
-        assert run_cli(["bench", cfg, "--repeats", "3", "--batch", "4"]) == 0
-        out = capsys.readouterr().out
-        for key in ("t_plain_ms", "t_zero_memory_ms", "t_sr_ms", "overhead_pct"):
-            assert key in out
-
-    def test_default_host_overhead_under_recorded_bound(self, tmp_path, capsys):
-        """SR at stage 3 of the stock host costs ~2.5% of a forward pass
-        here; 15% is the recorded generous bound. One retry for noise."""
-        cfg = write_config(tmp_path, {"host": {"sr_insert": 3}})
-        for attempt in range(2):
-            assert run_cli(["bench", cfg, "--repeats", "15", "--batch", "32"]) == 0
-            out = capsys.readouterr().out
-            pct = float(dict(l.split(" ", 1) for l in out.splitlines())["overhead_pct"])
-            if pct < 15.0:
-                return
-        pytest.fail(f"SR forward overhead {pct:.2f}% exceeds the 15% bound")
-
-    def test_zero_memory_sr_strictly_slower_than_plain(self, tmp_path, capsys):
-        """The block always computes its squeeze/FCN path; one retry absorbs
-        scheduler noise in this environment."""
-        cfg = write_config(
-            tmp_path,
-            {"host": {"sr_insert": 1, "sr": {"c": 16, "h": 32, "w": 32,
-                                             "u": 32, "p": 20}}},
-        )
-        for attempt in range(2):
-            assert run_cli(["bench", cfg, "--repeats", "15", "--batch", "32"]) == 0
-            out = capsys.readouterr().out
-            vals = dict(l.split(" ", 1) for l in out.splitlines())
-            if float(vals["t_zero_memory_ms"]) > float(vals["t_plain_ms"]):
-                return
-        pytest.fail(f"zero-memory SR not slower than plain host: {vals}")
-
-    def test_median_stability_r3_vs_r100(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            {"host": {"sr_insert": 1, "sr": {"c": 16, "h": 32, "w": 32,
-                                             "u": 32, "p": 20}}},
-        )
-
-        def sr_ms(repeats):
-            assert run_cli(["bench", cfg, "--repeats", str(repeats), "--batch", "32"]) == 0
-            out = capsys.readouterr().out
-            return float(dict(l.split(" ", 1) for l in out.splitlines())["t_sr_ms"])
-
-        for attempt in range(2):
-            few, many = sr_ms(3), sr_ms(100)
-            if abs(few - many) / many <= 0.2:
-                return
-        pytest.fail(f"medians diverged: R=3 {few:.3f} ms vs R=100 {many:.3f} ms")
-
-
 class TestInspect:
     def test_untrained_outputs(self, tmp_path, capsys):
         doc = dict(TINY)

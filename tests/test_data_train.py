@@ -201,6 +201,26 @@ class TestSgd:
         sgd_step(params, grads, SgdState(), cfg, epoch=0)
         assert np.all(params.sr.memory < 1.0)
 
+    def test_gradients_must_match_parameter_names(self):
+        """Gradients without the SR block's tensors are rejected, naming the
+        first missing one, before any tensor moves; so are extra ones."""
+        cfg_host = HostConfig(
+            stage_channels=(2, 2, 2, 2), in_h=4, in_w=4, classes=2,
+            sr_insert=3, sr=SRConfig(c=2, h=1, w=1, u=2, p=2, allow_off_grid=True),
+        )
+        params = host_init(cfg_host, make_rng(3))
+        before = params.copy()
+        grads = params.copy()
+        grads.sr = None
+        state = SgdState()
+        with pytest.raises(ConfigError, match="sr.squeeze_w"):
+            sgd_step(params, grads, state, TrainConfig(), epoch=0)
+        assert state.velocity == {}
+        for (_, a), (_, b) in zip(params.items(), before.items()):
+            assert np.array_equal(a, b)
+        with pytest.raises(ConfigError, match="sr.squeeze_w"):
+            sgd_step(grads, params.copy(), SgdState(), TrainConfig(), epoch=0)
+
 
 class TestSchedule:
     def test_reference_positions(self):

@@ -1,9 +1,14 @@
 """Host CNN: init, forward/backward, SR integration, parameter accounting."""
 
+import statistics
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from srkit import ops
+from srkit.config import parse_config
 from srkit.errors import ConfigError, UsageError
 from srkit.host import (
     HostConfig,
@@ -197,3 +202,47 @@ def test_invalid_configs_rejected():
     with pytest.raises(ConfigError, match="mode"):
         params = host_init(MICRO, make_rng(0))
         host_forward(params, np.zeros((1, 3, 4, 4), dtype=np.float32), "predict")
+
+
+def _forward_ms_plain_zero_random(doc, repeats=15, batch=32):
+    """Median eval-forward ms of the host in `doc` without SR, with SR at zero
+    memory and with SR over a random memory bank, timed in turns so that a
+    drift of the machine's speed hits all three alike."""
+    cfg = parse_config(doc).host
+    rng = make_rng(0)
+    x = rng.uniform(-1.0, 1.0, (batch, cfg.in_channels, cfg.in_h, cfg.in_w)).astype(np.float32)
+    variants = [host_init(replace(cfg, sr_insert=None, sr=None), make_rng(0)),
+                host_init(cfg, make_rng(0)), host_init(cfg, make_rng(0))]
+    variants[2].sr.memory[:] = rng.standard_normal(variants[2].sr.memory.shape, dtype=np.float32)
+    for _ in range(3):  # warm allocators and caches before timing
+        for params in variants:
+            host_forward(params, x, "eval")
+    times = [[] for _ in variants]
+    for _ in range(repeats):
+        for params, params_times in zip(variants, times):
+            t0 = time.perf_counter()
+            host_forward(params, x, "eval")
+            params_times.append((time.perf_counter() - t0) * 1000.0)
+    return [statistics.median(t) for t in times]
+
+
+def test_default_host_overhead_under_recorded_bound():
+    """SR at stage 3 of the stock host costs ~2.5% of a forward pass
+    here; 15% is the recorded generous bound. One retry for noise."""
+    for attempt in range(2):
+        plain, _, sr = _forward_ms_plain_zero_random({"host": {"sr_insert": 3}})
+        pct = 100.0 * (sr - plain) / plain
+        if pct < 15.0:
+            return
+    pytest.fail(f"SR forward overhead {pct:.2f}% exceeds the 15% bound")
+
+
+def test_zero_memory_sr_strictly_slower_than_plain():
+    """The block always computes its squeeze/FCN path; one retry absorbs
+    scheduler noise in this environment."""
+    doc = {"host": {"sr_insert": 1, "sr": {"c": 16, "h": 32, "w": 32, "u": 32, "p": 20}}}
+    for attempt in range(2):
+        plain, zero_memory, _ = _forward_ms_plain_zero_random(doc)
+        if zero_memory > plain:
+            return
+    pytest.fail(f"zero-memory SR not slower than plain host: {zero_memory:.3f} vs {plain:.3f} ms")

@@ -123,9 +123,11 @@ def run_pairs(parent: str, change: str, workloads, seeds, seconds, trace):
 
 
 def seed_list(text: str) -> list[int]:
-    """"41-50" or "41,43,45" into a list of seeds."""
+    """"41-50" or "41,43,45" into a list of seeds; an empty range is an error."""
     if "-" in text:
         lo, hi = (int(v) for v in text.split("-", 1))
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"seed range {text} is empty")
         return list(range(lo, hi + 1))
     return [int(v) for v in text.split(",")]
 
