@@ -130,7 +130,8 @@ def feature_delta(params: HostParams, data: Dataset) -> list[DeltaStats]:
     """
     sums: dict[int, list] = {}  # class -> float64 sums of pre, post, |delta|; count
     for chunk, cache in _sr_readout(params, data):
-        maps = (cache.sr_in, cache.sr_out, np.abs(cache.sr_out - cache.sr_in))
+        x = cache.sr_cache.x
+        maps = (x, cache.sr_out, np.abs(cache.sr_out - x))
         labels = data.y[chunk]
         for k in np.unique(labels):
             sel = labels == k
@@ -170,7 +171,7 @@ def ablation_report(
         yb = test_set.y[start : start + EVAL_BATCH]
         logits, cache = host_forward(params, xb, "eval")
         full += int((logits.argmax(axis=1) == yb).sum())
-        logits = host_forward_from(params, cache.sr_in, params.cfg.sr_insert)
+        logits = host_forward_from(params, cache.sr_cache.x, params.cfg.sr_insert)
         ablated += int((logits.argmax(axis=1) == yb).sum())
     acc_full, acc_ablated = full / len(test_set), ablated / len(test_set)
     return acc_full, acc_ablated, acc_full - acc_ablated

@@ -141,13 +141,16 @@ def cmd_eval(args) -> int:
 
 def cmd_params(args) -> int:
     from .config import load_config
+    from .errors import ConfigError
     from .host import host_param_count
     from .sr_block import sr_overhead, sr_param_count
 
+    if args.baseline is not None and args.baseline <= 0:
+        raise ConfigError(f"--baseline must be > 0, got {args.baseline}")
     run = load_config(args.config)
     host_cfg = run.host
     sr_cfg = host_cfg.sr
-    without = host_param_count(host_cfg, with_sr=False)
+    without = host_param_count(host_cfg)
     print(f"host_params_no_sr {without}")
     if sr_cfg is None:
         print("sr_params 0")

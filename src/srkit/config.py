@@ -153,6 +153,6 @@ def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, int digit limit
             raise ConfigError(f"malformed JSON in {path}: {e}") from e
     return parse_config(doc)

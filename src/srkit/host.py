@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DimensionError, UsageError
+from .errors import ConfigError, UsageError
 from .sr_block import (
     SRConfig,
     SRParams,
@@ -28,6 +28,7 @@ from .sr_block import (
     sr_init,
     sr_shapes,
 )
+from .tensor import check_axis, check_nchw
 
 STAGE_STRIDES = (1, 2, 2, 2)
 DROPOUT_STAGES = (3, 4)  # 1-based stages whose outputs get dropout
@@ -114,9 +115,6 @@ class HostParams:
             for name, t in self.sr.items():
                 yield f"sr.{name}", t
 
-    def n_scalars(self) -> int:
-        return sum(t.size for _, t in self.items())
-
     def copy(self) -> "HostParams":
         return HostParams(
             cfg=self.cfg,
@@ -135,7 +133,6 @@ class HostCache:
     stage_pre: list[np.ndarray]
     dropout_masks: dict[int, np.ndarray]
     sr_cache: object
-    sr_in: Optional[np.ndarray]
     sr_out: Optional[np.ndarray]
     pooled: Optional[np.ndarray] = None
     logits: Optional[np.ndarray] = None
@@ -188,18 +185,14 @@ def host_forward(
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = params.cfg
-    if x.ndim != 4 or x.shape[1] != cfg.in_channels:
-        raise DimensionError(
-            f"x: channel axis is {x.shape[1] if x.ndim == 4 else '?'}, "
-            f"expected {cfg.in_channels}"
-        )
+    check_axis(check_nchw(x)[1], cfg.in_channels, "channel")
     use_dropout = (
         mode == "train" and cfg.dropout_kind != "none" and cfg.dropout_p > 0.0
     )
     if use_dropout and rng is None:
         raise UsageError("train-mode dropout needs an rng")
 
-    cache = HostCache(mode, [], [], {}, None, None, None)
+    cache = HostCache(mode, [], [], {}, None, None)
     cache.pooled, cache.logits = _stages(params, x, 1, cache,
                                          rng if use_dropout else None)
     return cache.logits, cache
@@ -209,7 +202,7 @@ def host_forward_from(params: HostParams, act: np.ndarray, stage: int) -> np.nda
     """Eval logits of the host without its SR block, from ``act``, the
     output of 1-based ``stage`` (0: the input image): conv→ReLU for the
     later stages, then pooling and the classifier; no dropout, no cache.
-    On ``cache.sr_in`` this is the host with its memory zeroed, whose block
+    On ``cache.sr_cache.x`` this is the host with its memory zeroed, whose block
     returns ``x + 0``."""
     if stage not in range(5):
         raise UsageError(f"stage must be in 0..4, got {stage}")
@@ -249,7 +242,6 @@ def _stages(
             cache.dropout_masks[stage] = mask
             act = ops.dropout_apply(act, mask)
         if cfg.sr_insert == stage:
-            cache.sr_in = act
             act, cache.sr_cache = sr_forward(params.sr, act)
             cache.sr_out = act
     pooled = ops.global_avgpool_fwd(act)
@@ -312,7 +304,7 @@ def params_from_tensors(cfg: HostConfig, tensors: dict[str, np.ndarray]) -> Host
     return HostParams(cfg, [t[f"stage{i}.w"] for i in range(1, 5)], t["cls.w"], sr)
 
 
-def host_param_count(cfg: HostConfig, with_sr: bool = True) -> int:
-    """Total scalar parameters; SR included when configured and requested."""
+def host_param_count(cfg: HostConfig) -> int:
+    """Scalar parameters of the host without its SR block."""
     return sum(math.prod(shape) for name, shape in param_shapes(cfg).items()
-               if with_sr or not name.startswith("sr."))
+               if not name.startswith("sr."))

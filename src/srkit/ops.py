@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, NumericError
-from .tensor import check_axis, check_nchw
+from .tensor import check_axis, check_nchw, check_shape
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +86,7 @@ def conv1x1_bwd(
     grad_weight[ch]   = sum_{n,i,j} x[n,ch,i,j] * grad_out[n,0,i,j]
     """
     n, c, h, w = check_nchw(x)
-    check_nchw(grad_out, "grad_out")
-    check_axis(grad_out.shape[0], n, "batch", "grad_out")
-    check_axis(grad_out.shape[1], 1, "channel", "grad_out")
-    check_axis(grad_out.shape[2], h, "height", "grad_out")
-    check_axis(grad_out.shape[3], w, "width", "grad_out")
+    check_shape(grad_out.shape, (n, 1, h, w))
     rows = _block_size(n, c * h * w)
     xv, xt = x.reshape(n, c, h * w), np.empty((c, n, h * w), dtype=x.dtype)
 
@@ -121,10 +117,7 @@ def linear_fwd(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Matrix product x @ weight.T for x (n, in) and weight (out, in)."""
     if x.ndim != 2 or weight.ndim != 2:
         raise DimensionError("linear expects rank-2 x and weight")
-    if x.shape[1] != weight.shape[1]:
-        raise DimensionError(
-            f"x: input axis is {x.shape[1]}, expected {weight.shape[1]}"
-        )
+    check_axis(x.shape[1], weight.shape[1], "input")
     return x @ weight.T
 
 
@@ -132,11 +125,7 @@ def linear_bwd(
     x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Standard matmul adjoints: grad_x = g @ W, grad_W = g.T @ x."""
-    if grad_out.shape != (x.shape[0], weight.shape[0]):
-        raise DimensionError(
-            f"grad_out: shape is {grad_out.shape}, expected "
-            f"({x.shape[0]}, {weight.shape[0]})"
-        )
+    check_shape(grad_out.shape, (x.shape[0], weight.shape[0]))
     return grad_out @ weight, grad_out.T @ x
 
 
@@ -157,10 +146,7 @@ def softmax_fwd(logits: np.ndarray) -> np.ndarray:
 
 def softmax_bwd(probs: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """grad_logits = probs * (grad_out - <grad_out, probs>) per row."""
-    if probs.shape != grad_out.shape:
-        raise DimensionError(
-            f"grad_out: shape is {grad_out.shape}, expected {probs.shape}"
-        )
+    check_shape(grad_out.shape, probs.shape)
     inner = np.sum(grad_out * probs, axis=1, keepdims=True)
     return probs * (grad_out - inner)
 
@@ -287,10 +273,7 @@ def conv3x3_fwd(x: np.ndarray, weight: np.ndarray, stride: int = 1) -> np.ndarra
 def _conv3x3_grads(x, weight, grad_out, stride, want_x):
     """Both backward rules: grad_w = sum cols^T g; if want_x, col2im of g W^T."""
     n, c, h, w, o, oh, ow = _check_conv3x3(x, weight, stride)
-    if grad_out.shape != (n, o, oh, ow):
-        raise DimensionError(
-            f"grad_out: shape is {grad_out.shape}, expected {(n, o, oh, ow)}"
-        )
+    check_shape(grad_out.shape, (n, o, oh, ow))
     cl, axes, wk = _conv3x3_layout(weight, ow)
     grad_x = np.empty((n, c, h, w), dtype=x.dtype) if want_x else None
 
@@ -348,10 +331,7 @@ def relu_fwd(x: np.ndarray) -> np.ndarray:
 
 
 def relu_bwd(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    if x.shape != grad_out.shape:
-        raise DimensionError(
-            f"grad_out: shape is {grad_out.shape}, expected {x.shape}"
-        )
+    check_shape(grad_out.shape, x.shape)
     return grad_out * (x > 0)
 
 
@@ -366,10 +346,7 @@ def global_avgpool_fwd(x: np.ndarray) -> np.ndarray:
 
 def global_avgpool_bwd(x_shape: tuple[int, int, int, int], grad_out: np.ndarray) -> np.ndarray:
     n, c, h, w = x_shape
-    if grad_out.shape != (n, c):
-        raise DimensionError(
-            f"grad_out: shape is {grad_out.shape}, expected {(n, c)}"
-        )
+    check_shape(grad_out.shape, (n, c))
     scale = np.asarray(1.0 / (h * w), dtype=grad_out.dtype)
     return np.broadcast_to((grad_out * scale)[:, :, None, None], x_shape).copy()
 
@@ -386,8 +363,7 @@ def cross_entropy_fwd(
     if logits.ndim != 2:
         raise DimensionError("cross_entropy expects rank-2 logits")
     n = logits.shape[0]
-    if labels.shape != (n,):
-        raise DimensionError(f"labels: shape is {labels.shape}, expected ({n},)")
+    check_shape(labels.shape, (n,), "labels")
     if not np.all(np.isfinite(logits)):
         raise NumericError("cross_entropy received non-finite logits")
     shifted = logits - logits.max(axis=1, keepdims=True)

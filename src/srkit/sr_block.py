@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DimensionError, UsageError
-from .tensor import check_nchw
+from .errors import ConfigError, UsageError
+from .tensor import AXIS_NAMES, check_axis, check_nchw, check_shape
 
 HIDDEN_WIDTH_GRID = (8, 16, 32)
 MEMORY_COUNT_RANGE = (2, 20)
@@ -97,10 +97,6 @@ class SRParams:
     fc2_w: np.ndarray
     memory: np.ndarray
 
-    def n_scalars(self) -> int:
-        """Number of stored parameter scalars."""
-        return sum(t.size for _, t in self.items())
-
     def copy(self) -> "SRParams":
         return SRParams(self.cfg, **{name: t.copy() for name, t in self.items()})
 
@@ -148,30 +144,19 @@ def sr_init(cfg: SRConfig, rng: np.random.Generator, dtype=np.float32) -> SRPara
     return SRParams(cfg, memory=memory, **drawn)
 
 
-def _check_input(params: SRParams, x: np.ndarray) -> None:
-    n, c, h, w = check_nchw(x)
-    cfg = params.cfg
-    if (c, h, w) != (cfg.c, cfg.h, cfg.w):
-        for axis, got, want in (
-            ("channel", c, cfg.c),
-            ("height", h, cfg.h),
-            ("width", w, cfg.w),
-        ):
-            if got != want:
-                raise DimensionError(f"x: {axis} axis is {got}, expected {want}")
-
-
 def sr_forward(params: SRParams, x: np.ndarray) -> tuple[np.ndarray, SRForwardCache]:
     """Apply the block: out = x + sum_i alpha[n,i] * memory[i] per sample.
 
     alpha = softmax(fc2 @ (fc1 @ flatten(conv1x1(x)))) is computed
     independently for each batch sample.
     """
-    _check_input(params, x)
+    cfg = params.cfg
+    for axis, got, want in zip(AXIS_NAMES[1:], check_nchw(x)[1:], (cfg.c, cfg.h, cfg.w)):
+        check_axis(got, want, axis)
     xbar = ops.conv1x1_fwd(x, params.squeeze_w)
     xbar_flat = ops.flatten_fwd(xbar)
     hidden_pre = ops.linear_fwd(xbar_flat, params.fc1_w)
-    hidden = ops.relu_fwd(hidden_pre) if params.cfg.hidden_relu else hidden_pre
+    hidden = ops.relu_fwd(hidden_pre) if cfg.hidden_relu else hidden_pre
     logits = ops.linear_fwd(hidden, params.fc2_w)
     alpha = ops.softmax_fwd(logits)
     out = recall_map(params, alpha)
@@ -247,11 +232,7 @@ def sr_backward(
         raise UsageError("sr_backward needs the cache from a matching sr_forward")
     if cache.params is not params:
         raise UsageError("stale cache: it was produced by a different SRParams")
-    _check_input(params, grad_out)
-    if grad_out.shape != cache.x.shape:
-        raise DimensionError(
-            f"grad_out: batch axis is {grad_out.shape[0]}, expected {cache.x.shape[0]}"
-        )
+    check_shape(grad_out.shape, cache.x.shape)
 
     n, p = grad_out.shape[0], params.cfg.p
     grad_memory = _matmul_columns(cache.alpha.T, grad_out.reshape(n, -1))

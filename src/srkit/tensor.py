@@ -30,3 +30,7 @@ def check_axis(actual: int, expected: int, axis: str, name: str = "x") -> None:
     if actual != expected:
         raise DimensionError(f"{name}: {axis} axis is {actual}, expected {expected}")
 
+
+def check_shape(actual: tuple, expected: tuple, name: str = "grad_out") -> None:
+    if actual != expected:
+        raise DimensionError(f"{name}: shape is {actual}, expected {expected}")

@@ -132,12 +132,12 @@ class TrainResult:
     best_val_acc: float
 
 
-def evaluate(params: HostParams, data: Dataset, batch: int = EVAL_BATCH) -> float:
-    """Eval-mode classification accuracy on a split."""
+def evaluate(params: HostParams, data: Dataset) -> float:
+    """Eval-mode classification accuracy on a split, EVAL_BATCH samples a pass."""
     correct = 0
-    for start in range(0, len(data), batch):
-        xb = data.x[start : start + batch]
-        yb = data.y[start : start + batch]
+    for start in range(0, len(data), EVAL_BATCH):
+        xb = data.x[start : start + EVAL_BATCH]
+        yb = data.y[start : start + EVAL_BATCH]
         logits, _ = host_forward(params, xb, "eval")
         correct += int((logits.argmax(axis=1) == yb).sum())
     return correct / len(data)

@@ -247,7 +247,7 @@ class TestOnePassAblation:
         x = long_test_split.x
         _, cache = host_forward(params, x, "eval")
         want, _ = host_forward(replace(params, sr=sr_ablate(params.sr)), x, "eval")
-        assert np.array_equal(host_forward_from(params, cache.sr_in, stage), want)
+        assert np.array_equal(host_forward_from(params, cache.sr_cache.x, stage), want)
 
     def test_suffix_from_input_is_plain_host(self, long_test_split):
         params = memory_host(3)

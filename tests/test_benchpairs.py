@@ -81,3 +81,13 @@ def test_seed_list():
     assert benchpairs.seed_list("7,9") == [7, 9]
     with pytest.raises(argparse.ArgumentTypeError, match="empty"):
         benchpairs.seed_list("50-41")
+
+
+def test_out_in_missing_directory_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(benchpairs, "run_once", lambda *a: pytest.fail("a run started"))
+    out = str(tmp_path / "missing" / "BENCH_1.json")
+    with pytest.raises(SystemExit) as exc:
+        benchpairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                         "--seeds", "1", "--out", out])
+    assert exc.value.code == 2 and "missing" in capsys.readouterr().err
+    assert benchpairs.out_path(str(tmp_path / "BENCH_1.json")).endswith("BENCH_1.json")

@@ -165,6 +165,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="malformed JSON"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",  # not UTF-8
+        b'{"train":{"epochs":' + b"9" * 5000 + b"}}",  # past int's digit limit
+    ], ids=["not_utf8", "past_digit_limit"])
+    def test_load_config_undecodable_names_file(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="bad.json"):
+            load_config(str(path))
+
     @pytest.mark.parametrize("section, key, value", [
         ("train", "flip_augment", "false"),
         ("host.sr", "hidden_relu", 1),
@@ -264,6 +274,19 @@ def _paths(doc, prefix=()):
 
 
 _PATHS = [*_paths(_FULL_DOC), ("bogus",), ("host", "bogus"), ("host", "sr", "bogus")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=st.binary())
+def test_load_config_raises_only_config_error(content):
+    """Any file content either loads or ends in ConfigError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        Path(path).write_bytes(content)
+        try:
+            load_config(path)
+        except ConfigError:
+            pass
 
 
 @settings(max_examples=300, deadline=None)

@@ -262,6 +262,19 @@ class TestParams:
         assert "sr_params 405600" in out
         assert "overhead_pct 1.59" in out
 
+    @pytest.mark.parametrize("baseline", ["0", "-3"])
+    def test_non_positive_baseline_exit_2_before_output(self, tmp_path, capsys, baseline):
+        cfg = write_config(tmp_path, {"host": {"sr_insert": 3}})
+        assert run_cli(["params", cfg, "--baseline", baseline]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--baseline" in err
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run_cli(["params", str(path)]) == 2
+        assert "cfg.json" in capsys.readouterr().err
+
 
 # the gradcheck rows besides micro_host that a sign flip in each ops backward rule fails
 FAILED_ROWS = {

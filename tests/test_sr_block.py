@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srkit import ops
-from srkit.errors import ConfigError, UsageError
+from srkit.errors import ConfigError, DimensionError, UsageError
 from srkit.rng import make_rng
 from srkit.sr_block import (
     SRConfig,
@@ -109,8 +109,6 @@ class TestForward:
         x = make_rng(2).uniform(-1, 1, (5, 3, 4, 4)).astype(np.float32)
         out, _ = sr_forward(params, x)
         assert out.shape == x.shape
-        from srkit.errors import DimensionError
-
         with pytest.raises(DimensionError, match="channel"):
             sr_forward(params, np.zeros((1, 4, 4, 4), dtype=np.float32))
 
@@ -187,6 +185,13 @@ class TestBackward:
         other = sr_init(small_cfg(), make_rng(21))
         with pytest.raises(UsageError):
             sr_backward(other, cache, x)
+
+    @pytest.mark.parametrize("shape", [(1, 4, 4, 4), (2, 3, 4, 4), (3, 4, 4)])
+    def test_misshapen_grad_out_is_named(self, shape):
+        params = sr_init(small_cfg(), make_rng(22))
+        _, cache = sr_forward(params, make_rng(23).uniform(-1, 1, (1, 3, 4, 4)))
+        with pytest.raises(DimensionError, match=r"^grad_out: shape is"):
+            sr_backward(params, cache, np.zeros(shape))
 
 
 RESNET_SHAPE = dict(c=1024, h=14, w=14, u=16, p=10)  # perfbench's sr_block_resnet
@@ -313,7 +318,7 @@ class TestAccounting:
             for p in range(2, 21):
                 cfg = SRConfig(c=3, h=2, w=3, u=u, p=p)
                 params = sr_init(cfg, make_rng(0))
-                assert sr_param_count(cfg) == params.n_scalars()
+                assert sr_param_count(cfg) == sum(t.size for _, t in params.items())
 
 
 class TestAblate:

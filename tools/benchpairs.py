@@ -132,6 +132,13 @@ def seed_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
+def out_path(text: str) -> str:
+    """--out: a file whose directory exists, checked before any run starts."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(text))):
+        raise argparse.ArgumentTypeError(f"no directory for {text}")
+    return text
+
+
 def directions(checkout: str) -> dict[str, str]:
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
@@ -186,7 +193,7 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--trace-seeds", type=seed_list, default=[],
                    help="seeds for --trace 1 pairs (per-layer medians)")
-    p.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
+    p.add_argument("--out", type=out_path, required=True, help="the BENCH_<n>.json to write")
     args = p.parse_args(argv)
     log = lambda msg: print(msg, file=sys.stderr, flush=True)
 
