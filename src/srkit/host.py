@@ -130,7 +130,7 @@ class HostCache:
 
     mode: str
     stage_in: list[np.ndarray]
-    stage_pre: list[np.ndarray]
+    stage_out: list[np.ndarray]
     dropout_masks: dict[int, np.ndarray]
     sr_cache: object
     sr_out: Optional[np.ndarray]
@@ -218,7 +218,7 @@ def _stages(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(pooled, logits) from stages ``first``..4 on ``act``.
 
-    With a cache, each stage's input and pre-activation are recorded, the
+    With a cache, each stage's input and ReLU output are recorded, the
     SR block runs at its stage and dropout masks are drawn from
     ``dropout_rng`` when one is given; without one, only conv→ReLU runs.
     """
@@ -227,10 +227,10 @@ def _stages(
         pre = ops.conv3x3_fwd(act, params.stage_w[stage - 1], STAGE_STRIDES[stage - 1])
         if cache is not None:
             cache.stage_in.append(act)
-            cache.stage_pre.append(pre)
-        act = ops.relu_fwd(pre)
+        act = ops.relu_fwd(pre, pre)  # in place: the conv output is a fresh array
         if cache is None:
             continue
+        cache.stage_out.append(act)
         if dropout_rng is not None and stage in DROPOUT_STAGES:
             mask = ops.dropout_mask(
                 act.shape,
@@ -263,7 +263,7 @@ def host_backward(
     grad_logits = ops.cross_entropy_bwd(probs, labels)
     grad_pooled, grad_cls = ops.linear_bwd(cache.pooled, params.cls_w, grad_logits)
 
-    last = cache.stage_pre[3].shape  # stage-4 output shape
+    last = cache.stage_out[3].shape  # stage-4 output shape
     grad_act = ops.global_avgpool_bwd(last, grad_pooled)
     grad_stage_w = [None] * 4
     grad_sr = None
@@ -272,7 +272,8 @@ def host_backward(
             grad_sr, grad_act = sr_backward(params.sr, cache.sr_cache, grad_act)
         if stage in cache.dropout_masks:
             grad_act = ops.dropout_bwd(cache.dropout_masks[stage], grad_act)
-        grad_pre = ops.relu_bwd(cache.stage_pre[stage - 1], grad_act)
+        # grad_act is always a fresh array of ours; the mask is read off the ReLU output
+        grad_pre = ops.relu_bwd(cache.stage_out[stage - 1], grad_act, grad_act)
         args = (cache.stage_in[stage - 1], params.stage_w[stage - 1], grad_pre,
                 STAGE_STRIDES[stage - 1])
         if stage == 1:  # the input image needs no gradient

@@ -233,6 +233,19 @@ def _each_chunk(fn, n: int, size: int = _CHUNK) -> list:
     return [t.result() for t in tasks]
 
 
+def _rows_into(fn, out: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
+    """fn(*input_rows, out=out_rows) over (n, ...) arrays in row blocks of about
+    _TASK elements on the worker pool; returns out, which may be an input."""
+    n = out.shape[0]
+    rows = _block_size(n, out[0].size)
+
+    def block(b):
+        fn(*(a[b : b + rows] for a in inputs), out=out[b : b + rows])
+
+    _each_chunk(block, n, rows)
+    return out
+
+
 def _conv3x3_layout(weight: np.ndarray, ow: int):
     """Layout rule: channels-last iff its copy runs (3*c floats) are no shorter than
     NCHW's (ow). Returns cl, the weight axes in patch order and the (9c, o) matrix."""
@@ -326,13 +339,21 @@ def conv3x3_bwd_weight(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
 # ReLU
 # ---------------------------------------------------------------------------
 
-def relu_fwd(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0) into out (x itself is allowed), or into a new array."""
+    if out is None:
+        out = np.empty(x.shape, np.result_type(x, 0))
+    return _rows_into(lambda a, out: np.maximum(a, 0, out=out), out, x)
 
 
-def relu_bwd(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+def relu_bwd(x: np.ndarray, grad_out: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """grad_out * (x > 0) into out (grad_out itself is allowed), or into a new
+    array. x may be the ReLU's input or its output: both give the same mask."""
     check_shape(grad_out.shape, x.shape)
-    return grad_out * (x > 0)
+    if out is None:
+        out = np.empty(x.shape, np.result_type(grad_out, np.bool_))
+    return _rows_into(lambda a, g, out: np.multiply(g, a > 0, out=out), out, x, grad_out)
 
 
 # ---------------------------------------------------------------------------

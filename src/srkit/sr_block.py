@@ -160,7 +160,7 @@ def sr_forward(params: SRParams, x: np.ndarray) -> tuple[np.ndarray, SRForwardCa
     logits = ops.linear_fwd(hidden, params.fc2_w)
     alpha = ops.softmax_fwd(logits)
     out = recall_map(params, alpha)
-    _add_into(out, x)
+    ops._rows_into(np.add, out, out, x)
     cache = SRForwardCache(x, xbar_flat, hidden_pre, hidden, alpha, params)
     return out, cache
 
@@ -205,17 +205,6 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _add_into(acc: np.ndarray, x: np.ndarray) -> None:
-    """acc += x over (n, ...) maps in row blocks on the worker pool."""
-    n = acc.shape[0]
-    rows = ops._block_size(n, acc[0].size)
-
-    def block(b):
-        np.add(acc[b : b + rows], x[b : b + rows], out=acc[b : b + rows])
-
-    ops._each_chunk(block, n, rows)
-
-
 def sr_backward(
     params: SRParams, cache: SRForwardCache, grad_out: np.ndarray
 ) -> tuple[SRParams, np.ndarray]:
@@ -247,7 +236,7 @@ def sr_backward(
     )
     grad_xbar = ops.flatten_bwd(grad_xbar_flat, (n, 1, params.cfg.h, params.cfg.w))
     grad_x, grad_squeeze_w = ops.conv1x1_bwd(cache.x, params.squeeze_w, grad_xbar)
-    _add_into(grad_x, grad_out)  # the residual path
+    ops._rows_into(np.add, grad_x, grad_x, grad_out)  # the residual path
     grads = SRParams(params.cfg, grad_squeeze_w, grad_fc1, grad_fc2, grad_memory)
     return grads, grad_x
 

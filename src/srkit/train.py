@@ -160,10 +160,11 @@ def train(
     train_set, val_set, _ = splits if splits is not None else synth_generate(spec)
     if len(train_set) == 0 or len(val_set) == 0:
         raise ConfigError("empty dataset")
-    if host_cfg.classes != spec.classes:
-        raise ConfigError(
-            f"host.classes={host_cfg.classes} != data.classes={spec.classes}"
-        )
+    for host_key, data_key in (("classes", "classes"), ("in_channels", "channels"),
+                               ("in_h", "h"), ("in_w", "w")):
+        got, want = getattr(host_cfg, host_key), getattr(spec, data_key)
+        if got != want:
+            raise ConfigError(f"host.{host_key}={got} != data.{data_key}={want}")
 
     rng = make_rng(train_cfg.seed)
     params = host_init(host_cfg, rng)

@@ -91,3 +91,30 @@ def test_out_in_missing_directory_exits_2_before_any_run(tmp_path, monkeypatch, 
                          "--seeds", "1", "--out", out])
     assert exc.value.code == 2 and "missing" in capsys.readouterr().err
     assert benchpairs.out_path(str(tmp_path / "BENCH_1.json")).endswith("BENCH_1.json")
+
+
+def test_run_once_records_faults_and_cpu_of_a_stub_checkout(tmp_path):
+    stub = tmp_path / "perfbench" / "run.py"
+    stub.parent.mkdir()
+    stub.write_text(
+        "import json\n"
+        "sum(range(10 ** 6))\n"
+        "print(json.dumps({'correct': True, 'attempted': 3, 'failed': 0,\n"
+        "                  'metrics': {'samples_per_s': {'value': 12.5}}}))\n")
+    rec = benchpairs.run_once(str(tmp_path), "change", "inspect_eval", 7, 2.0, 0)
+    assert rec["exit"] == 0 and rec["correct"] is True and rec["failed"] == 0
+    assert rec["metrics"] == {"samples_per_s": 12.5}
+    assert isinstance(rec["minor_faults"], int) and rec["minor_faults"] > 0
+    assert rec["cpu_s"] > 0
+
+
+def test_summarize_reports_median_faults_and_cpu_per_side():
+    runs = [{**record(side, seed, samples_per_s=1.0), "minor_faults": faults, "cpu_s": cpu}
+            for side, seed, faults, cpu in (
+                ("parent", 1, 9000, 2.0), ("parent", 2, 9500, 2.5), ("parent", 3, 8000, 4.0),
+                ("change", 1, 13, 1.5), ("change", 2, 20, 1.0), ("change", 3, None, None))]
+    s = benchpairs.summarize(runs, {"samples_per_s": "higher"})["sr_block_resnet"]
+    assert s["minor_faults"] == {"parent": 9000, "change": 16.5}
+    assert s["cpu_s"] == {"parent": 2.5, "change": 1.25}
+    legacy = benchpairs.summarize([record("parent", 1)], {})["sr_block_resnet"]
+    assert legacy["minor_faults"] == {"parent": None, "change": None}

@@ -91,6 +91,19 @@ class TestTrain:
         assert run_cli(["train", cfg, str(tmp_path / "x"), str(tmp_path / "y")]) == 2
         assert "host.sr_insert" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"data": {"channels": 1}}, "host.in_channels=3 != data.channels=1"),
+        ({"data": {"h": 8, "w": 8}, "host": {"sr_insert": None}, "train": {"epochs": 1}},
+         "host.in_h=32 != data.h=8"),
+        ({"data": {"w": 16}}, "host.in_w=32 != data.w=16"),
+    ])
+    def test_host_and_data_image_shapes_disagree_exit_2(self, tmp_path, capsys, doc, named):
+        cfg = write_config(tmp_path, doc)
+        ck = tmp_path / "x"
+        assert run_cli(["train", cfg, str(ck), str(tmp_path / "y")]) == 2
+        assert named in capsys.readouterr().err
+        assert not ck.exists()
+
     def test_divergence_exit_4_names_epoch(self, tmp_path):
         doc = {**TINY, "train": {**TINY["train"], "lr0": 1000.0}}
         ck, hist = tmp_path / "x.srck", tmp_path / "y.csv"

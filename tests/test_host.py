@@ -11,6 +11,7 @@ from srkit import ops
 from srkit.config import parse_config
 from srkit.errors import ConfigError, DimensionError, UsageError
 from srkit.host import (
+    STAGE_STRIDES,
     HostConfig,
     host_backward,
     host_forward,
@@ -150,6 +151,29 @@ def test_stage1_backward_computes_weight_gradient_only(monkeypatch):
     assert stage1_args[0] is cache.stage_in[0]
     monkeypatch.undo()
     assert np.array_equal(grads.stage_w[0], ops.conv3x3_bwd(*stage1_args)[1])
+
+
+def test_relu_runs_in_place_on_each_conv_output(monkeypatch):
+    """A train-mode cache keeps each conv output, rectified in place, as its
+    stage output: no ReLU buffer, and dropout and the SR block leave it alone."""
+    cfg = HostConfig(sr_insert=3, dropout_kind="channel", dropout_p=0.5)
+    params = host_init(cfg, make_rng(14))
+    x = make_rng(15).uniform(-1, 1, (2, 3, 32, 32)).astype(np.float32)
+    convs = []
+
+    def recorded(*args, _fn=ops.conv3x3_fwd):
+        convs.append(_fn(*args))
+        return convs[-1]
+
+    monkeypatch.setattr(ops, "conv3x3_fwd", recorded)
+    _, cache = host_forward(params, x, "train", make_rng(16))
+    assert len(convs) == len(cache.stage_out) == 4
+    assert all(out is conv for out, conv in zip(cache.stage_out, convs))
+    assert cache.stage_in[1] is cache.stage_out[0]
+    monkeypatch.undo()
+    for s, out in enumerate(cache.stage_out):
+        pre = ops.conv3x3_fwd(cache.stage_in[s], params.stage_w[s], STAGE_STRIDES[s])
+        assert out.tobytes() == np.maximum(pre, 0).tobytes()
 
 
 def test_micro_host_full_fd():

@@ -397,6 +397,35 @@ class TestSmallPrimitives:
             loss = lambda: float(np.sum(ops.relu_fwd(x) * g))
             assert max_rel_err(grad, fd_gradient(loss, x)) < FD_TOL
 
+    @staticmethod
+    def relu_case(rng):
+        """float32 x and g above one _TASK (row blocks of 16 and 4), with
+        +-0, NaN and +-inf in both, in every pairing."""
+        x, g = (u(rng, 20, 16, 64, 64).astype(np.float32) for _ in range(2))
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf], np.float32)
+        for a, step, values in ((x, 997, special), (g, 991, special[::-1])):
+            flat = a.reshape(-1)
+            flat[::step] = np.resize(values, flat[::step].size)
+        return x, g
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
+    def test_relu_bytes_in_place_or_not(self, rng, use_workers, chunk_calls, k):
+        x, g = self.relu_case(rng)
+        want_fwd, want_bwd = np.maximum(x, 0), g * (x > 0)
+        use_workers(k)
+        y, h = x.copy(), g.copy()
+        got = [ops.relu_fwd(x), ops.relu_fwd(y, y), ops.relu_bwd(x, g), ops.relu_bwd(x, h, h)]
+        assert got[1] is y and got[3] is h
+        for a, want in zip(got, (want_fwd, want_fwd, want_bwd, want_bwd)):
+            assert a.dtype == want.dtype and a.tobytes() == want.tobytes()
+        assert {(n, size) for _, n, size in chunk_calls} == {(20, 16)}
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_relu_bwd_mask_from_output(self, rng):
+        x, g = self.relu_case(rng)
+        assert ops.relu_bwd(ops.relu_fwd(x), g).tobytes() == ops.relu_bwd(x, g).tobytes()
+
     def test_avgpool_fwd(self, rng):
         x = u(rng, 2, 3, 4, 4)
         assert np.allclose(ops.global_avgpool_fwd(x), x.mean(axis=(2, 3)))

@@ -268,7 +268,7 @@ class TestWorkerPool:
         sr_backward(params, cache, g)
         assert {name for name, n, size in chunk_calls if n > size} == {
             "conv1x1_fwd.<locals>.squeeze", "_matmul_columns.<locals>.block",
-            "_add_into.<locals>.block", "_matmul_rows.<locals>.block",
+            "_rows_into.<locals>.block", "_matmul_rows.<locals>.block",
             "conv1x1_bwd.<locals>.channel_major", "conv1x1_bwd.<locals>.scale"}
         assert all(n > size for _, n, size in chunk_calls)
         assert [-(-n // size) for name, n, size in chunk_calls

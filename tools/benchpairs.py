@@ -11,7 +11,9 @@ a drift of the machine's speed hits both sides alike. ``--trace-seeds`` adds
 ``--trace 1`` runs, whose per-layer medians go under ``per_layer``.
 
 The JSON written holds every run (exit code, ``correct``, failed operations,
-metrics) and, per workload and metric, each side's median and quartiles,
+metrics, and the minor page faults and CPU seconds of its process tree, from
+``getrusage(RUSAGE_CHILDREN)``); per workload, each side's median faults and
+CPU seconds; and per workload and metric, each side's median and quartiles,
 the pairs the change won, and ``claim_holds``: the change is better in at
 least nine of ten pairs and its median beats the parent's by more than the
 parent's quartile spread. Directions come from the change's BENCHMARK.json.
@@ -25,6 +27,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -82,17 +85,27 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
             "exit_codes": {side: [by[side, s]["exit"] for s in seeds if (side, s) in by]
                            for side in ("parent", "change")},
             "failed_ops": sum(r["failed"] or 0 for r in mine),
+            **{key: {side: _median(r.get(key) for r in mine if r["side"] == side)
+                     for side in ("parent", "change")} for key in ("minor_faults", "cpu_s")},
             "metrics": metrics,
         }
     return out
 
 
+def _median(values):
+    """Median of the values that are not None, or None if there are none."""
+    values = [v for v in values if v is not None]
+    return round(statistics.median(values), 4) if values else None
+
+
 def run_once(checkout: str, side: str, workload: str, seed: int, seconds: float,
              trace: int) -> dict:
     """One perfbench run in checkout: its exit code, the JSON of its last line,
-    and the last line of its standard error if it failed."""
+    the last line of its standard error if it failed, and the minor page faults
+    and CPU seconds (user + system) of the run's process tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     try:
         proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                               timeout=max(300.0, 20 * seconds))
@@ -100,6 +113,7 @@ def run_once(checkout: str, side: str, workload: str, seed: int, seconds: float,
         error = proc.stderr.strip().splitlines()[-1:] if code else []
     except subprocess.TimeoutExpired:
         code, lines, error = "timeout", [], []
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
@@ -109,6 +123,8 @@ def run_once(checkout: str, side: str, workload: str, seed: int, seconds: float,
         "workload": workload, "seed": seed, "side": side, "trace": trace, "exit": code,
         "correct": result.get("correct", False), "attempted": result.get("attempted"),
         "failed": result.get("failed"), "error": error[0] if error else None, "env": env,
+        "minor_faults": after.ru_minflt - before.ru_minflt,
+        "cpu_s": round(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime, 4),
         "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()},
     }
 
