@@ -1,9 +1,10 @@
 """Forward and backward rules for every primitive the networks need.
 
-Every op is a pure function: arrays in, arrays out, no hidden state. Each
-``*_bwd`` implements the exact analytic adjoint of its forward and is
-validated against central finite differences in the test suite and the
-``gradcheck`` harness.
+Every op is a function of its arrays with no hidden state: it writes only
+its result, into a new array or, for the ReLU passes, into ``out``, which
+may be the input. Each ``*_bwd`` implements the exact analytic adjoint of
+its forward and is validated against central finite differences in the
+test suite and the ``gradcheck`` harness.
 
 Determinism contract: identical inputs produce bit-identical outputs run
 to run on one machine with one BLAS thread count. The 3x3 convolutions
@@ -17,14 +18,15 @@ One worker pool of ``worker_count()`` threads runs all work that splits
 into independent blocks (``_each_chunk``); numpy releases the GIL in BLAS,
 in copies and in elementwise loops. The 3x3 convolutions take the batch in
 chunks of ``_CHUNK`` samples; every chunk's GEMMs keep their shapes and
-the weight-gradient partials are added in chunk order. The SR block's
-memory-bound passes (here ``conv1x1_fwd``'s channel sum, ``conv1x1_bwd``'s
-``grad_x`` and its channel-major copy of ``x``; the recall, memory and
-gate gradients and residual adds in ``sr_block``) each fill one buffer
-the caller allocated, in blocks of sample rows or columns sized from
-``_TASK`` (``_block_size``) that leave every sum as the unsplit pass has
-it. Block boundaries follow from the shape alone, so the bits do not
-depend on the pool size, and a pass that fits in one block runs inline.
+the weight-gradient partials are added in chunk order. The memory-bound
+passes (here the ReLU passes, ``conv1x1_fwd``'s channel sum and
+``conv1x1_bwd``'s ``grad_x`` and channel-major copy of ``x``; the recall,
+memory and gate gradients and residual adds in ``sr_block``) each fill
+one buffer allocated before the pass, in blocks of sample rows or columns
+sized from ``_TASK`` (``_block_size``) that leave every sum as the
+unsplit pass has it. Block boundaries follow from the shape alone, so the
+bits do not depend on the pool size, and a pass that fits in one block
+runs inline.
 
 Ops preserve the input dtype: float32 in production, float64 when a
 finite-difference oracle reruns them on upcast copies.
