@@ -91,7 +91,8 @@ class _Reader:
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint; rejects unknown magic or version, metadata that is
-    not a UTF-8 JSON object, and duplicate tensor names."""
+    not a UTF-8 JSON object, duplicate tensor names, and tensors holding NaN
+    or +-inf (a model no training run can have written)."""
     with open(path, "rb") as f:
         r = _Reader(f.read(), path)
     if r.take(4) != MAGIC:
@@ -121,4 +122,6 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             tensors[name] = data.reshape(shape).astype(np.float32)
         except ValueError as e:  # more axes than numpy arrays may have
             raise CheckpointError(f"{path}: tensor {name!r} of rank {rank}: {e}") from e
+        if not np.isfinite(tensors[name]).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds NaN or infinity")
     return meta, tensors

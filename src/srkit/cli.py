@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 failed gradient check, 2 configuration problem
 (the message names the file or tensor), 3 I/O failure, 4 training
 diverged to non-finite values (the message names the epoch and batch).
 
-The SRKIT_THREADS environment variable sets how many worker threads the
-3x3 convolutions and the SR block's large passes spread their blocks over
-(default: the CPUs this process may use; anything but a positive integer
-ends in exit 2). Results do not depend on it. BLAS itself runs one thread per call: main() sets
+The SRKIT_THREADS environment variable sets how many threads, the calling
+thread among them, the 3x3 convolutions, the host's ReLU passes and the SR
+block's large passes spread their blocks over (default: the CPUs this
+process may use; anything but a positive integer ends in exit 2). Results
+do not depend on it. BLAS itself runs one thread per call: main() sets
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS to 1 unless they
 are already set, which must happen before numpy loads, so this module
 imports the numeric stack lazily inside main().

@@ -14,9 +14,13 @@ BLAS kernel blocks it for the CPU and thread count; across machines they
 agree to rounding, not to the bit. ``conv1x1_fwd`` adds channels left to
 right without BLAS and matches a naive per-element loop bit for bit.
 
-One worker pool of ``worker_count()`` threads runs all work that splits
-into independent blocks (``_each_chunk``); numpy releases the GIL in BLAS,
-in copies and in elementwise loops. The 3x3 convolutions take the batch in
+All work that splits into independent blocks runs as a fork-join over
+``worker_count()`` threads (``_each_chunk``): the calling thread is one of
+the SRKIT_THREADS and runs the first contiguous group of blocks, and each
+other group is one task of a pool of ``worker_count() - 1`` helper threads;
+numpy releases the GIL in BLAS, in copies and in elementwise loops. Which
+thread runs a block follows from the block count and the thread count
+alone. The 3x3 convolutions take the batch in
 chunks of ``_CHUNK`` samples; every chunk's GEMMs keep their shapes and
 the weight-gradient partials are added in chunk order. The memory-bound
 passes (here the ReLU passes, ``conv1x1_fwd``'s channel sum and
@@ -187,8 +191,9 @@ def _block_size(n: int, each: int) -> int:
 
 
 def worker_count() -> int:
-    """Worker threads: SRKIT_THREADS, by default the CPUs this process may
-    use. Read once, when the first split pass creates the pool."""
+    """Threads a split pass may use, the calling thread among them: SRKIT_THREADS,
+    by default the CPUs this process may use. Read once, when the first split
+    pass creates the pool of worker_count() - 1 helper threads."""
     raw = os.environ.get("SRKIT_THREADS")
     if raw is None:
         if hasattr(os, "sched_getaffinity"):
@@ -203,36 +208,55 @@ def worker_count() -> int:
     return k
 
 
-_POOL: list = []  # [executor, or None for one worker], made on first use
+_POOL: list = []  # [helper pool, or None for one thread; worker_count()], on first use
 _POOL_LOCK = threading.Lock()
 if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
     os.register_at_fork(after_in_child=lambda: _POOL.clear())
 
 
+def _run_group(fn, starts) -> list:
+    return [fn(b) for b in starts]
+
+
 def _each_chunk(fn, n: int, size: int = _CHUNK) -> list:
-    """[fn(b) for b in range(0, n, size)], the blocks spread over the worker pool.
+    """[fn(b) for b in range(0, n, size)] as a fork-join over worker_count() threads.
 
     The one pool dispatcher: the caller allocates the outputs and each fn(b)
-    writes only its own slice. Results come back in block order; one block
-    runs inline. Each task runs in its own copy of the caller's context, since
-    np.errstate is per context; fn must call no public srkit function, as the
-    benchmark's tracer assumes nested calls.
+    writes only its own slice. The block starts split into at most
+    worker_count() contiguous groups whose sizes differ by at most one, the
+    larger last, with the ragged last block; the calling thread runs group 0 and each other group is one
+    pool task, run in its own copy of the caller's context (np.errstate is per
+    context). Every group has finished when this returns or raises; results
+    come back in block order, and the error raised is that of the first
+    failing group. One block, or one thread, runs inline. fn must call no
+    public srkit function, as the benchmark's tracer assumes nested calls.
     """
     starts = range(0, n, size)
     if len(starts) <= 1:
-        return [fn(b) for b in starts]
+        return _run_group(fn, starts)
     with _POOL_LOCK:
         if not _POOL:
             # imported here, not at the top: its ~8 ms would add to every command
             from concurrent.futures import ThreadPoolExecutor
 
             k = worker_count()
-            _POOL.append(ThreadPoolExecutor(k, "srkit-conv") if k > 1 else None)
-    pool = _POOL[0]
+            _POOL.extend((ThreadPoolExecutor(k - 1, "srkit-conv") if k > 1 else None, k))
+    pool, k = _POOL
     if pool is None:
-        return [fn(b) for b in starts]
-    tasks = [pool.submit(contextvars.copy_context().run, fn, b) for b in starts]
-    return [t.result() for t in tasks]
+        return _run_group(fn, starts)
+    groups = min(k, len(starts))
+    q, r = divmod(len(starts), groups)
+    cuts = [i * q + max(0, i - groups + r) for i in range(groups + 1)]
+    tasks = [pool.submit(contextvars.copy_context().run, _run_group, fn, starts[lo:hi])
+             for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        results = _run_group(fn, starts[: cuts[1]])
+    finally:
+        for t in tasks:  # join: no group outlives the pass
+            t.exception()
+    for t in tasks:  # the first failing group's error, in group order
+        results += t.result()
+    return results
 
 
 def _rows_into(fn, out: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
@@ -265,7 +289,8 @@ def _conv3x3_patches(x: np.ndarray, stride: int, cl: bool) -> np.ndarray:
         xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
         win = sliding_window_view(xp, (3, 3), axis=(1, 2))[:, ::stride, ::stride]
         return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, 9 * c)
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    xp = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
+    xp[:, :, 1:-1, 1:-1] = x
     win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * 9, -1)
 
@@ -278,8 +303,10 @@ def conv3x3_fwd(x: np.ndarray, weight: np.ndarray, stride: int = 1) -> np.ndarra
 
     def chunk(b):  # writes only its own slice of out
         cols = _conv3x3_patches(x[b : b + _CHUNK], stride, cl)
-        out[b : b + _CHUNK] = ((cols @ wk).reshape(-1, oh, ow, o).transpose(0, 3, 1, 2)
-                               if cl else (wk.T @ cols).reshape(-1, o, oh, ow))
+        if cl:
+            out[b : b + _CHUNK] = (cols @ wk).reshape(-1, oh, ow, o).transpose(0, 3, 1, 2)
+        else:  # the batched GEMM straight into out
+            np.matmul(wk.T, cols, out=out[b : b + _CHUNK].reshape(-1, o, oh * ow))
 
     _each_chunk(chunk, n)
     return out

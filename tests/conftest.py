@@ -32,9 +32,10 @@ def toy_run():
 
 @pytest.fixture
 def use_workers(monkeypatch):
-    """use_workers(k): the split passes (3x3 convolutions, SR block) run on a fresh
-    pool of k workers (SRKIT_THREADS=k) until the test ends; the session's pool
-    comes back after."""
+    """use_workers(k): the split passes (3x3 convolutions, ReLU, SR block) run on
+    k threads (SRKIT_THREADS=k), the calling thread and a fresh pool of k - 1
+    helpers, until the test ends; every pool made is shut down and the
+    session's pool comes back after."""
     pools = []
 
     def use(k):

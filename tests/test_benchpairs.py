@@ -38,6 +38,24 @@ def test_compare_higher_is_better(change, wins, holds):
     assert got["claim_holds"] is holds
 
 
+def test_pair_ratios_see_through_a_drifting_parent():
+    """The machine speeds up across the seeds: the change wins every pair by
+    15%, but its median gap (217.5) is under the parent's quartile spread
+    (450), so claim_holds stays false while pair_ratios shows the win."""
+    parent = [1000.0 + 100 * i for i in range(10)]
+    got = benchpairs.compare(parent, [1.15 * v for v in parent], "higher")
+    assert got["change_better_in_pairs"] == "10/10"
+    assert got["median_gap"] == 217.5 and got["parent_quartile_spread"] == 450.0
+    assert got["claim_holds"] is False
+    assert got["pair_ratios"] == {"median": 1.15, "min": 1.15, "max": 1.15}
+
+
+def test_pair_ratios_lower_is_better_and_zero_pairs_skipped():
+    got = benchpairs.compare([2.0, 4.0, 0.0, 3.0], [1.0, 5.0, 1.0, 3.0], "lower")
+    assert got["pair_ratios"] == {"median": 1.0, "min": 0.8, "max": 2.0}
+    assert benchpairs.compare([0.0, 0.0], [0.0, 1.0], "higher")["pair_ratios"] is None
+
+
 def test_compare_lower_is_better_and_ties_do_not_win():
     got = benchpairs.compare([1.0, 1.0, 2.0, 2.0], [0.5, 1.0, 1.0, 3.0], "lower")
     assert got["change_better_in_pairs"] == "2/4"

@@ -224,6 +224,15 @@ def overflowing_shape(path, good):
     path.write_bytes(Path(good).read_bytes() + struct.pack("<I", 1) + b"a" + shape)
 
 
+def non_finite(name, fill):
+    """The good checkpoint with tensor name's entries set by fill(tensor)."""
+    def write(path, good):
+        meta, tensors = load_checkpoint(good)
+        fill(tensors[name])
+        save_checkpoint(str(path), meta, tensors)
+    return write
+
+
 def bad_tensor_name(path, good):
     path.write_bytes(Path(good).read_bytes() + struct.pack("<I", 1) + b"\xff")
 
@@ -240,8 +249,11 @@ class TestCorruptCheckpoint:
         (duplicate_tensor, "'cls.w'"),
         (bad_tensor_name, "tensor name"),
         (overflowing_shape, "truncated"),
+        (non_finite("cls.w", lambda t: t.fill(np.inf)), "'cls.w'"),
+        (non_finite("stage1.w", lambda t: np.put(t, 5, np.nan)), "'stage1.w'"),
     ], ids=["no_config", "bad_utf8", "bad_json", "not_an_object", "unknown_tensor",
-            "duplicate_tensor", "bad_tensor_name", "overflowing_shape"])
+            "duplicate_tensor", "bad_tensor_name", "overflowing_shape", "inf_weights",
+            "one_nan_weight"])
     def test_eval_exit_2(self, write, named, tiny_artifacts, tmp_path, capsys):
         _, _, good, _ = tiny_artifacts
         bad = tmp_path / "bad.srck"

@@ -322,16 +322,61 @@ class TestWorkerPool:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_results_come_back_in_chunk_order(self, use_workers):
-        use_workers(3)
+    @pytest.mark.parametrize("k, blocks, groups", [
+        (3, 3, [1, 1, 1]), (2, 5, [2, 3]), (3, 7, [2, 2, 3]), (4, 2, [1, 1])])
+    def test_results_come_back_in_chunk_order(self, use_workers, k, blocks, groups):
+        """The calling thread runs the first group of blocks and one pool thread
+        each other group; groups are contiguous and differ by at most one block."""
+        use_workers(k)
+        caller = threading.current_thread().name
 
-        def late_first(b):  # the first chunk finishes last
-            time.sleep(0.05 if b == 0 else 0.0)
+        def late_first(b):  # the caller's blocks finish last
+            time.sleep(0.02 if b == 0 else 0.005)
             return b, threading.current_thread().name
 
-        got = ops._each_chunk(late_first, 3 * ops._CHUNK)
-        assert [b for b, _ in got] == [0, ops._CHUNK, 2 * ops._CHUNK]
-        assert all(name.startswith("srkit-conv") for _, name in got)
+        got = ops._each_chunk(late_first, blocks * ops._CHUNK)
+        assert [b for b, _ in got] == list(range(0, blocks * ops._CHUNK, ops._CHUNK))
+        names = [name for _, name in got]
+        cuts = np.cumsum([0] + groups)
+        runs = [names[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        assert runs[0] == [caller] * groups[0]
+        for run in runs[1:]:
+            assert run == [run[0]] * len(run) and run[0].startswith("srkit-conv")
+
+    @pytest.mark.parametrize("k", [2, 3, 12])
+    def test_a_pass_hands_groups_minus_one_tasks_to_the_pool(
+            self, rng, use_workers, pool_submissions, k):
+        x = u(rng, 8 * ops._CHUNK, 3, 6, 5).astype(np.float32)
+        use_workers(k)
+        ops.conv3x3_fwd(x, u(rng, 4, 3, 3, 3).astype(np.float32))
+        assert len(pool_submissions) == min(k, 8) - 1
+
+    def test_every_group_finishes_before_an_error_propagates(self, use_workers):
+        use_workers(2)
+        done = threading.Event()
+
+        def block(b):
+            if b == 0:
+                raise ValueError("group 0")
+            time.sleep(0.05)
+            done.set()
+
+        with pytest.raises(ValueError, match="group 0"):
+            ops._each_chunk(block, 2 * ops._CHUNK)
+        assert done.is_set()
+
+    def test_the_first_failing_group_raises(self, use_workers):
+        use_workers(3)
+
+        def block(b):
+            if b == 0:  # fails after the later groups have failed
+                time.sleep(0.02)
+            raise ValueError(f"block {b}")
+
+        with pytest.raises(ValueError, match="block 0"):
+            ops._each_chunk(block, 3 * ops._CHUNK)
+        with pytest.raises(ValueError, match=f"block {ops._CHUNK}"):
+            ops._each_chunk(lambda b: block(b) if b else None, 3 * ops._CHUNK)
 
     @pytest.mark.parametrize("k, n", [(1, 3 * ops._CHUNK), (2, ops._CHUNK), (2, 1)])
     def test_one_worker_or_one_chunk_runs_inline(self, use_workers, k, n):

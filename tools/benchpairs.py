@@ -14,9 +14,10 @@ The JSON written holds every run (exit code, ``correct``, failed operations,
 metrics, and the minor page faults and CPU seconds of its process tree, from
 ``getrusage(RUSAGE_CHILDREN)``); per workload, each side's median faults and
 CPU seconds; and per workload and metric, each side's median and quartiles,
-the pairs the change won, and ``claim_holds``: the change is better in at
-least nine of ten pairs and its median beats the parent's by more than the
-parent's quartile spread. Directions come from the change's BENCHMARK.json.
+the pairs the change won, the median, min and max of the per-pair ratios
+(``pair_ratios``, above 1 where the change won), and ``claim_holds``: the
+change is better in at least nine of ten pairs and its median beats the
+parent's by more than the parent's quartile spread. Directions come from the change's BENCHMARK.json.
 Standard library only; it reads the checkouts and writes only ``--out`` (and
 perfbench's own ``perfbench/out/`` reports inside each checkout).
 """
@@ -45,9 +46,14 @@ def compare(parent: list[float], change: list[float], better: str, pairs: int = 
     """One metric over pairs (parent[i], change[i]); better is "higher" or "lower".
 
     pairs is the number of pairs run, if more: a pair where a side reported
-    nothing (a failed run) is not a win."""
+    nothing (a failed run) is not a win. pair_ratios summarises each pair's
+    change/parent (parent/change if lower is better; above 1, the change won),
+    skipping pairs with a zero; a pair's two runs are adjacent in time, so its
+    ratio, unlike the quartile spread of claim_holds, is free of the drift of
+    the machine's speed across the seeds."""
     sign, pairs = (1.0 if better == "higher" else -1.0), max(pairs, len(parent))
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    ratios = [(c / p) ** sign for p, c in zip(parent, change) if p and c]
     ps, cs = side_stats(parent), side_stats(change)
     pm, cm = statistics.median(parent), statistics.median(change)
     gap, spread = sign * (cm - pm), ps["q3"] - ps["q1"]
@@ -55,6 +61,9 @@ def compare(parent: list[float], change: list[float], better: str, pairs: int = 
         "parent": ps, "change": cs, "better": better,
         "change_better_in_pairs": f"{wins}/{pairs}",
         "ratio_of_medians": round(cm / pm, 4) if pm else None,  # e.g. a layer that never ran
+        "pair_ratios": {"median": round(statistics.median(ratios), 4),
+                        "min": round(min(ratios), 4), "max": round(max(ratios), 4)}
+                       if ratios else None,
         "median_gap": round(gap, 4),
         "parent_quartile_spread": round(spread, 4),
         "claim_holds": wins >= math.ceil(0.9 * pairs) and gap > spread,
@@ -231,7 +240,8 @@ def main(argv=None) -> int:
         m = s["metrics"].get("samples_per_s")
         if m:
             log(f"{wl}: samples_per_s {m['parent']['median']} -> {m['change']['median']} "
-                f"(x{m['ratio_of_medians']}), change better in {m['change_better_in_pairs']}, "
+                f"(x{m['ratio_of_medians']}; per pair x{(m['pair_ratios'] or {}).get('median')}), "
+                f"change better in {m['change_better_in_pairs']}, "
                 f"claim holds: {m['claim_holds']}")
     return 0
 
