@@ -224,12 +224,13 @@ def _each_chunk(fn, n: int, size: int = _CHUNK) -> list:
     The one pool dispatcher: the caller allocates the outputs and each fn(b)
     writes only its own slice. The block starts split into at most
     worker_count() contiguous groups whose sizes differ by at most one, the
-    larger last, with the ragged last block; the calling thread runs group 0 and each other group is one
-    pool task, run in its own copy of the caller's context (np.errstate is per
-    context). Every group has finished when this returns or raises; results
-    come back in block order, and the error raised is that of the first
-    failing group. One block, or one thread, runs inline. fn must call no
-    public srkit function, as the benchmark's tracer assumes nested calls.
+    larger last, where the ragged last block is. The calling thread runs
+    group 0 and each other group is one pool task, run in its own copy of the
+    caller's context (np.errstate is per context). Every group has finished
+    when this returns or raises; results come back in block order, and the
+    error raised is that of the first failing group. One block, or one
+    thread, runs inline. fn must call no public srkit function, as the
+    benchmark's tracer assumes nested calls.
     """
     starts = range(0, n, size)
     if len(starts) <= 1:

@@ -322,24 +322,36 @@ class TestWorkerPool:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("k, blocks, groups", [
-        (3, 3, [1, 1, 1]), (2, 5, [2, 3]), (3, 7, [2, 2, 3]), (4, 2, [1, 1])])
-    def test_results_come_back_in_chunk_order(self, use_workers, k, blocks, groups):
-        """The calling thread runs the first group of blocks and one pool thread
-        each other group; groups are contiguous and differ by at most one block."""
-        use_workers(k)
-        caller = threading.current_thread().name
+    def test_results_come_back_in_chunk_order(self, use_workers):
+        """Block 0 runs on the calling thread and finishes last; the others run
+        on pool threads."""
+        use_workers(3)
 
-        def late_first(b):  # the caller's blocks finish last
-            time.sleep(0.02 if b == 0 else 0.005)
+        def late_first(b):
+            time.sleep(0.05 if b == 0 else 0.0)
             return b, threading.current_thread().name
 
-        got = ops._each_chunk(late_first, blocks * ops._CHUNK)
+        got = ops._each_chunk(late_first, 3 * ops._CHUNK)
+        assert [b for b, _ in got] == [0, ops._CHUNK, 2 * ops._CHUNK]
+        assert got[0][1] == threading.current_thread().name
+        assert all(name.startswith("srkit-conv") for _, name in got[1:])
+
+    @pytest.mark.parametrize("k, blocks, groups", [
+        (2, 5, [2, 3]), (3, 7, [2, 2, 3]), (4, 2, [1, 1]), (2, 8, [4, 4])])
+    def test_each_group_of_blocks_runs_on_one_thread(self, use_workers, k, blocks, groups):
+        """Contiguous groups of sizes that differ by at most one, the larger
+        last: the calling thread runs the first, one pool thread each other."""
+        use_workers(k)
+
+        def block(b):
+            time.sleep(0.005)
+            return b, threading.current_thread().name
+
+        got = ops._each_chunk(block, blocks * ops._CHUNK)
         assert [b for b, _ in got] == list(range(0, blocks * ops._CHUNK, ops._CHUNK))
-        names = [name for _, name in got]
         cuts = np.cumsum([0] + groups)
-        runs = [names[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        assert runs[0] == [caller] * groups[0]
+        runs = [[name for _, name in got[lo:hi]] for lo, hi in zip(cuts, cuts[1:])]
+        assert runs[0] == [threading.current_thread().name] * groups[0]
         for run in runs[1:]:
             assert run == [run[0]] * len(run) and run[0].startswith("srkit-conv")
 

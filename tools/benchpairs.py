@@ -17,9 +17,10 @@ CPU seconds; and per workload and metric, each side's median and quartiles,
 the pairs the change won, the median, min and max of the per-pair ratios
 (``pair_ratios``, above 1 where the change won), and ``claim_holds``: the
 change is better in at least nine of ten pairs and its median beats the
-parent's by more than the parent's quartile spread. Directions come from the change's BENCHMARK.json.
-Standard library only; it reads the checkouts and writes only ``--out`` (and
-perfbench's own ``perfbench/out/`` reports inside each checkout).
+parent's by more than the parent's quartile spread. Directions come from
+the change's BENCHMARK.json. Standard library only; it reads the checkouts
+and writes only ``--out`` (and perfbench's own ``perfbench/out/`` reports
+inside each checkout).
 """
 
 from __future__ import annotations
@@ -239,8 +240,9 @@ def main(argv=None) -> int:
     for wl, s in doc["workloads"].items():
         m = s["metrics"].get("samples_per_s")
         if m:
+            per_pair = (m["pair_ratios"] or {}).get("median")
             log(f"{wl}: samples_per_s {m['parent']['median']} -> {m['change']['median']} "
-                f"(x{m['ratio_of_medians']}; per pair x{(m['pair_ratios'] or {}).get('median')}), "
+                f"(x{m['ratio_of_medians']}; per pair x{per_pair}), "
                 f"change better in {m['change_better_in_pairs']}, "
                 f"claim holds: {m['claim_holds']}")
     return 0
