@@ -1,8 +1,10 @@
 """Command-line surface: train, eval, params, gradcheck, inspect.
 
 Exit codes: 0 success, 1 failed gradient check, 2 configuration problem
-(the message names the offending key or value) or malformed checkpoint
-(the message names the file or tensor), 3 I/O failure, 4 training
+(the message names the offending key or value, or, for a config too large
+to allocate, numpy's message with the shape) or malformed checkpoint
+(the message names the file or tensor), 3 I/O failure (``train`` checks
+that its output directories exist before it loads data), 4 training
 diverged to non-finite values (the message names the epoch and batch).
 
 The SRKIT_THREADS environment variable sets how many threads, the calling
@@ -85,6 +87,9 @@ def cmd_train(args) -> int:
     from .data import synth_generate
 
     run = load_config(args.config)
+    for path in (args.checkpoint, args.history):  # fail before training, not after it
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise OSError(f"no such output directory: {path!r}")
     splits = synth_generate(run.data)
     result = training.train(run.host, run.train, run.data, splits)
     test_acc = training.evaluate(result.best_params, splits[2])
@@ -244,6 +249,9 @@ def main(argv=None) -> int:
         return handler(args)
     except (ConfigError, CheckpointError, DimensionError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:  # numpy's message names the shape
+        print(f"error: not enough memory: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)

@@ -20,17 +20,17 @@ the SRKIT_THREADS and runs the first contiguous group of blocks, and each
 other group is one task of a pool of ``worker_count() - 1`` helper threads;
 numpy releases the GIL in BLAS, in copies and in elementwise loops. Which
 thread runs a block follows from the block count and the thread count
-alone. The 3x3 convolutions take the batch in
-chunks of ``_CHUNK`` samples; every chunk's GEMMs keep their shapes and
-the weight-gradient partials are added in chunk order. The memory-bound
-passes (here the ReLU passes, ``conv1x1_fwd``'s channel sum and
-``conv1x1_bwd``'s ``grad_x`` and channel-major copy of ``x``; the recall,
-memory and gate gradients and residual adds in ``sr_block``) each fill
-one buffer allocated before the pass, in blocks of sample rows or columns
-sized from ``_TASK`` (``_block_size``) that leave every sum as the
-unsplit pass has it. Block boundaries follow from the shape alone, so the
-bits do not depend on the pool size, and a pass that fits in one block
-runs inline.
+alone. Every pass that fills a buffer allocated before it goes through
+``_rows_into``, in blocks of its leading axis: chunks of ``_CHUNK``
+samples in ``conv3x3_fwd``, whose GEMMs keep their shapes, and blocks of
+about ``_TASK`` elements (``_block_size``) in the memory-bound passes (the
+ReLU passes, ``conv1x1_fwd``'s channel sum, ``conv1x1_bwd``'s ``grad_x``
+and channel-major copy of ``x``; in ``sr_block`` the recall, memory and
+gate gradients and residual adds). Only the 3x3 weight gradient calls
+``_each_chunk`` itself: its per-chunk partials are added in chunk order.
+Blocks leave every sum as the unsplit pass has it and follow from the
+shape alone, so the bits do not depend on the pool size; a pass that fits
+in one block runs inline.
 
 Ops preserve the input dtype: float32 in production, float64 when a
 finite-difference oracle reruns them on upcast copies.
@@ -72,15 +72,10 @@ def conv1x1_fwd(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
         return out
     # the reduce adds the non-inner channel axis in order, from -0.0 as the loop
     # (from 0.0, -0.0 sums turn 0.0); a quarter task bounds the product temporary
-    out = np.empty((n, 1, h, w), dtype=np.result_type(weight, x))
-    rows, wc = max(2, (_TASK >> 2) // (c * h * w)), weight[:, None, None]
-
-    def squeeze(b):
-        np.add.reduce(wc * x[b : b + rows], axis=1, keepdims=True,
-                      out=out[b : b + rows], initial=-0.0)
-
-    _each_chunk(squeeze, n, rows)
-    return out
+    out, wc = np.empty((n, 1, h, w), dtype=np.result_type(weight, x)), weight[:, None, None]
+    return _rows_into(
+        lambda xb, out: np.add.reduce(wc * xb, axis=1, keepdims=True, out=out, initial=-0.0),
+        out, x, rows=max(2, (_TASK >> 2) // (c * h * w)))
 
 
 def conv1x1_bwd(
@@ -93,26 +88,17 @@ def conv1x1_bwd(
     """
     n, c, h, w = check_nchw(x)
     check_shape(grad_out.shape, (n, 1, h, w))
-    rows = _block_size(n, c * h * w)
-    xv, xt = x.reshape(n, c, h * w), np.empty((c, n, h * w), dtype=x.dtype)
-
-    def channel_major(b):
-        xt[:, b : b + rows] = xv[b : b + rows].transpose(1, 0, 2)
-
-    _each_chunk(channel_major, n, rows)
+    xt = np.empty((c, n, h * w), dtype=x.dtype)  # x channel-major, in sample-row blocks
+    _rows_into(lambda a, out: np.copyto(out, a), xt.transpose(1, 0, 2), x.reshape(n, c, h * w))
     # the copy and the one BLAS call of tensordot(x, grad_out[:, 0],
     # axes=([0, 2, 3], [0, 1, 2])): a split sum would change the bits
     grad_w = np.dot(xt.reshape(c, -1), grad_out.reshape(-1, 1)).reshape(c)
     del xt  # freed before grad_x is allocated, which can reuse its pages
 
-    grad_x = np.empty((n, c, h, w), dtype=np.result_type(weight, grad_out))
-    gx, g, wc = grad_x.reshape(n, c, h * w), grad_out.reshape(n, 1, h * w), weight[:, None]
-
-    def scale(b):  # inner loops of h*w elements, not w
-        np.multiply(wc, g[b : b + rows], out=gx[b : b + rows])
-
-    _each_chunk(scale, n, rows)
-    return grad_x, grad_w
+    grad_x = np.empty((n, c, h * w), dtype=np.result_type(weight, grad_out))
+    wc = weight[:, None]  # inner loops of h*w elements, not w
+    return _rows_into(lambda g, out: np.multiply(wc, g, out=out), grad_x,
+                      grad_out.reshape(n, 1, h * w)).reshape(n, c, h, w), grad_w
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +207,8 @@ def _run_group(fn, starts) -> list:
 def _each_chunk(fn, n: int, size: int = _CHUNK) -> list:
     """[fn(b) for b in range(0, n, size)] as a fork-join over worker_count() threads.
 
-    The one pool dispatcher: the caller allocates the outputs and each fn(b)
+    The one pool dispatcher, called by _rows_into for a pass that fills a
+    buffer and by _conv3x3_grads for its per-chunk partials; each fn(b)
     writes only its own slice. The block starts split into at most
     worker_count() contiguous groups whose sizes differ by at most one, the
     larger last, where the ragged last block is. The calling thread runs
@@ -260,16 +247,15 @@ def _each_chunk(fn, n: int, size: int = _CHUNK) -> list:
     return results
 
 
-def _rows_into(fn, out: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
-    """fn(*input_rows, out=out_rows) over (n, ...) arrays in row blocks of about
-    _TASK elements on the worker pool; returns out, which may be an input."""
+def _rows_into(fn, out: np.ndarray, *inputs: np.ndarray,
+               rows: int | None = None) -> np.ndarray:
+    """fn(*input_blocks, out=out_block) on the pool over the leading axis of (n, ...)
+    arrays in blocks of ``rows`` (default: _block_size, about _TASK elements); returns
+    out, which may be an input. A column pass hands in transposed views."""
     n = out.shape[0]
-    rows = _block_size(n, out[0].size)
-
-    def block(b):
-        fn(*(a[b : b + rows] for a in inputs), out=out[b : b + rows])
-
-    _each_chunk(block, n, rows)
+    rows = rows or _block_size(n, out[0].size)
+    _each_chunk(lambda b: fn(*(a[b : b + rows] for a in inputs), out=out[b : b + rows]),
+                n, rows)
     return out
 
 
@@ -300,17 +286,15 @@ def conv3x3_fwd(x: np.ndarray, weight: np.ndarray, stride: int = 1) -> np.ndarra
     """3x3 convolution with zero padding 1: one GEMM per chunk of patches."""
     n, c, h, w, o, oh, ow = _check_conv3x3(x, weight, stride)
     cl, _, wk = _conv3x3_layout(weight, ow)
-    out = np.empty((n, o, oh, ow), dtype=x.dtype)
 
-    def chunk(b):  # writes only its own slice of out
-        cols = _conv3x3_patches(x[b : b + _CHUNK], stride, cl)
+    def chunk(xb, out):
+        cols = _conv3x3_patches(xb, stride, cl)
         if cl:
-            out[b : b + _CHUNK] = (cols @ wk).reshape(-1, oh, ow, o).transpose(0, 3, 1, 2)
+            out[...] = (cols @ wk).reshape(-1, oh, ow, o).transpose(0, 3, 1, 2)
         else:  # the batched GEMM straight into out
-            np.matmul(wk.T, cols, out=out[b : b + _CHUNK].reshape(-1, o, oh * ow))
+            np.matmul(wk.T, cols, out=out.reshape(-1, o, oh * ow))
 
-    _each_chunk(chunk, n)
-    return out
+    return _rows_into(chunk, np.empty((n, o, oh, ow), dtype=x.dtype), x, rows=_CHUNK)
 
 
 def _conv3x3_grads(x, weight, grad_out, stride, want_x):

@@ -18,9 +18,10 @@ All layers are bias-free so that the parameter count is exactly
 
 The passes that stream whole (n, c, h, w) maps (the squeeze, the recall,
 the residual adds, the memory and gate gradients and the squeeze's
-``grad_x``) each fill one preallocated buffer in blocks fixed by the
-shape, run on the ``ops`` worker pool, with the bits of the unsplit
-products and sums (the gate gradient splits only the rows of its gemm).
+``grad_x``) each fill one preallocated buffer through ``ops._rows_into``,
+in blocks fixed by the shape, with the bits of the unsplit products and
+sums: the recall and the memory gradient split columns (as transposed
+views), the gate gradient only the rows of its gemm.
 The squeeze weight gradient stays one gemv: OpenBLAS's sgemv takes rows
 in groups of 4, so channel blocks not starting at a multiple of 4 changed
 the bits.
@@ -182,11 +183,7 @@ def _matmul_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (m, k), cols = a.shape, b.shape[1]
     out = np.empty((m, cols), dtype=np.result_type(a, b))
     size = ops._block_size(cols, max(m, k)) if m > 1 else cols  # max(m, k): the batch
-
-    def block(j):
-        np.matmul(a, b[:, j : j + size], out=out[:, j : j + size])
-
-    ops._each_chunk(block, cols, size)
+    ops._rows_into(lambda bt, out: np.matmul(a, bt.T, out=out.T), out.T, b.T, rows=size)
     return out
 
 
@@ -197,12 +194,7 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m = a.shape[0]
     out = np.empty((m, b.shape[1]), dtype=np.result_type(a, b))
     rows = max(ops._block_size(m, a.shape[1]), -(-m // 2))
-
-    def block(r):
-        np.dot(a[r : r + rows], b, out=out[r : r + rows])
-
-    ops._each_chunk(block, m, rows)
-    return out
+    return ops._rows_into(lambda ar, out: np.dot(ar, b, out=out), out, a, rows=rows)
 
 
 def sr_backward(

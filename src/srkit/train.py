@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .data import Dataset, SynthSpec, augment, synth_generate
+from .data import VAL_STRIDE, Dataset, SynthSpec, augment, synth_generate
 from .errors import ConfigError, NumericError
 from .host import HostConfig, HostParams, host_backward, host_forward, host_init
 from .rng import make_rng
@@ -158,8 +158,9 @@ def train(
     """
     train_cfg.validate()
     train_set, val_set, _ = splits if splits is not None else synth_generate(spec)
-    if len(train_set) == 0 or len(val_set) == 0:
-        raise ConfigError("empty dataset")
+    if len(train_set) == 0 or len(val_set) == 0:  # every VAL_STRIDE-th sample validates
+        raise ConfigError(f"empty dataset split: data.per_class={spec.per_class} "
+                          f"must be >= {VAL_STRIDE}")
     for host_key, data_key in (("classes", "classes"), ("in_channels", "channels"),
                                ("in_h", "h"), ("in_w", "w")):
         got, want = getattr(host_cfg, host_key), getattr(spec, data_key)

@@ -67,12 +67,12 @@ def pool_submissions(monkeypatch):
 
 @pytest.fixture
 def chunk_calls(monkeypatch):
-    """(fn.__qualname__, n, size) of every ops._each_chunk call until the test ends."""
+    """(n, size) of every ops._each_chunk call, in call order, until the test ends."""
     seen = []
     each_chunk = ops._each_chunk
 
     def recording_each_chunk(fn, n, size=ops._CHUNK):
-        seen.append((fn.__qualname__, n, size))
+        seen.append((n, size))
         return each_chunk(fn, n, size)
 
     monkeypatch.setattr(ops, "_each_chunk", recording_each_chunk)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from srkit import cli, ops
+from srkit import train as training
 from srkit.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 
 TINY = {
@@ -152,6 +153,37 @@ class TestTrain:
         assert run_cli(argv.format(**paths).split()) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_too_few_samples_for_validation_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"data": {"per_class": 4}})  # every 10th validates
+        assert run_cli(["train", cfg, str(tmp_path / "x"), str(tmp_path / "y")]) == 2
+        assert "data.per_class=4 must be >= 10" in capsys.readouterr().err
+
+    def test_config_too_large_to_allocate_exit_2(self, tmp_path):
+        """A 1.09 PiB training pool: past the 128 TiB user address space, so the
+        allocation fails at once under any overcommit setting."""
+        cfg = write_config(tmp_path, {"data": {"per_class": 100_000_000_000}})
+        proc = subprocess.run(  # a child process, so a traceback would reach stderr
+            [sys.executable, "-m", "srkit.cli", "train", cfg, str(tmp_path / "x"),
+             str(tmp_path / "y")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: not enough memory: ")
+        assert "(100000000000, 3, 32, 32)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("missing", [0, 1], ids=["checkpoint", "history"])
+    def test_missing_output_directory_exit_3_before_training(
+            self, tmp_path, capsys, monkeypatch, missing):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train() ran")
+
+        monkeypatch.setattr(training, "train", no_training)
+        outs = [tmp_path / "x.srck", tmp_path / "h.csv"]
+        outs[missing] = tmp_path / "nodir" / outs[missing].name
+        assert run_cli(["train", write_config(tmp_path, TINY), *map(str, outs)]) == 3
+        assert repr(str(outs[missing])) in capsys.readouterr().err
 
     def test_missing_config_exit_3(self, tmp_path):
         missing = str(tmp_path / "nope.json")

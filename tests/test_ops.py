@@ -363,6 +363,13 @@ class TestWorkerPool:
         ops.conv3x3_fwd(x, u(rng, 4, 3, 3, 3).astype(np.float32))
         assert len(pool_submissions) == min(k, 8) - 1
 
+    def test_conv3x3_fwd_splits_in_chunks(self, rng, use_workers, chunk_calls):
+        n = 2 * ops._CHUNK + 3  # a ragged last chunk of 3 samples
+        x, weight = u(rng, n, 3, 6, 5).astype(np.float32), u(rng, 4, 3, 3, 3).astype(np.float32)
+        use_workers(2)
+        ops.conv3x3_fwd(x, weight)
+        assert chunk_calls == [(n, ops._CHUNK)]
+
     def test_every_group_finishes_before_an_error_propagates(self, use_workers):
         use_workers(2)
         done = threading.Event()
@@ -475,7 +482,7 @@ class TestSmallPrimitives:
         assert got[1] is y and got[3] is h
         for a, want in zip(got, (want_fwd, want_fwd, want_bwd, want_bwd)):
             assert a.dtype == want.dtype and a.tobytes() == want.tobytes()
-        assert {(n, size) for _, n, size in chunk_calls} == {(20, 16)}
+        assert set(chunk_calls) == {(20, 16)}
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_relu_bwd_mask_from_output(self, rng):
