@@ -102,7 +102,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     try:
         meta = json.loads(r.take(r.u32()).decode("utf-8"))
-    except ValueError as e:  # bad UTF-8, bad JSON, an int past the digit limit
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, too deep, int digits
         raise CheckpointError(f"{path}: unreadable metadata: {e}") from e
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: metadata is not a JSON object")

@@ -88,8 +88,8 @@ def cmd_train(args) -> int:
 
     run = load_config(args.config)
     for path in (args.checkpoint, args.history):  # fail before training, not after it
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise OSError(f"no such output directory: {path!r}")
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise OSError(f"output must be a file in an existing directory: {path!r}")
     splits = synth_generate(run.data)
     result = training.train(run.host, run.train, run.data, splits)
     test_acc = training.evaluate(result.best_params, splits[2])

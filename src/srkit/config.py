@@ -153,6 +153,6 @@ def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, int digit limit
+        except (ValueError, RecursionError) as e:  # also bad UTF-8, too deep, int digits
             raise ConfigError(f"malformed JSON in {path}: {e}") from e
     return parse_config(doc)

@@ -142,7 +142,7 @@ def _micro_host(rng, size: str) -> float:
         params.sr.memory[:] = 0.5 * _u(rng, *params.sr.memory.shape)
         x, labels = _u(rng, n, cfg.in_channels, side, side), rng.integers(0, classes, n)
         fwd = lambda: host_forward(params, x, "train", make_rng(_MASK_SEED))
-        grads = host_backward(params, fwd()[1], labels)
+        _, grads = host_backward(params, fwd()[1], labels)
         pairs = [(g, t) for (_, g), (_, t) in zip(grads.items(), params.items())]
         if all(g.any() for g, _ in pairs):
             loss = lambda: ops.cross_entropy_fwd(fwd()[0], labels)[0]

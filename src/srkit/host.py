@@ -250,16 +250,16 @@ def _stages(
 
 def host_backward(
     params: HostParams, cache: HostCache, labels: np.ndarray
-) -> HostParams:
-    """Cross-entropy gradients for every parameter tensor.
+) -> tuple[float, HostParams]:
+    """(loss, grads): the mean cross-entropy and, HostParams-shaped, its
+    gradient for every parameter tensor, both from one ``cross_entropy_fwd``.
 
-    Returns a HostParams-shaped container of gradients. The cache must
-    come from a matching train-mode forward.
+    The cache must come from a matching train-mode forward.
     """
     if cache.mode != "train":
         raise UsageError("host_backward needs a train-mode cache")
     cfg = params.cfg
-    probs = ops.softmax_fwd(cache.logits)
+    loss, probs = ops.cross_entropy_fwd(cache.logits, labels)
     grad_logits = ops.cross_entropy_bwd(probs, labels)
     grad_pooled, grad_cls = ops.linear_bwd(cache.pooled, params.cls_w, grad_logits)
 
@@ -280,7 +280,7 @@ def host_backward(
             grad_stage_w[0] = ops.conv3x3_bwd_weight(*args)
         else:
             grad_act, grad_stage_w[stage - 1] = ops.conv3x3_bwd(*args)
-    return HostParams(cfg, grad_stage_w, grad_cls, grad_sr)
+    return loss, HostParams(cfg, grad_stage_w, grad_cls, grad_sr)
 
 
 def params_from_tensors(cfg: HostConfig, tensors: dict[str, np.ndarray]) -> HostParams:

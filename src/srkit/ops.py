@@ -393,8 +393,8 @@ def global_avgpool_bwd(x_shape: tuple[int, int, int, int], grad_out: np.ndarray)
 def cross_entropy_fwd(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean negative log-likelihood; returns (loss, probs) with probs cached
-    for the backward pass. Uses log-sum-exp with max subtraction."""
+    """Mean negative log-likelihood by log-sum-exp with max subtraction; returns
+    (loss, probs), probs bit-identical to ``softmax_fwd(logits)``."""
     if logits.ndim != 2:
         raise DimensionError("cross_entropy expects rank-2 logits")
     n = logits.shape[0]
@@ -402,10 +402,10 @@ def cross_entropy_fwd(
     if not np.all(np.isfinite(logits)):
         raise NumericError("cross_entropy received non-finite logits")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    log_probs = shifted - lse
-    loss = -log_probs[np.arange(n), labels].mean(dtype=logits.dtype)
-    return float(loss), np.exp(log_probs)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    loss = -(shifted - np.log(total))[np.arange(n), labels].mean(dtype=logits.dtype)
+    return float(loss), e / total
 
 
 def cross_entropy_bwd(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -15,13 +15,12 @@ followed by the dropout masks inside the forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
 
-from . import ops
 from .data import VAL_STRIDE, Dataset, SynthSpec, augment, synth_generate
 from .errors import ConfigError, NumericError
 from .host import HostConfig, HostParams, host_backward, host_forward, host_init
@@ -81,20 +80,16 @@ def lr_at(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr0 * cfg.lr_decay_factor ** drops
 
 
-@dataclass
-class SgdState:
-    velocity: dict[str, np.ndarray] = field(default_factory=dict)
-
-
 def sgd_step(
     params: HostParams,
     grads: HostParams,
-    state: SgdState,
+    velocity: dict[str, np.ndarray],
     cfg: TrainConfig,
-    epoch: int,
+    lr: float,
 ) -> None:
-    """One in-place update: v <- m*v + g + wd*p; p <- p - lr(epoch)*v."""
-    lr = np.float32(lr_at(cfg, epoch))
+    """One in-place update: v <- m*v + g + wd*p; p <- p - lr*v. ``velocity``
+    maps tensor names to momentum buffers, made as zeros on a name's first step."""
+    lr = np.float32(lr)
     momentum = np.float32(cfg.momentum)
     pairs = list(zip_longest(params.items(), grads.items(), fillvalue=(None, None)))
     for (name, p), (gname, g) in pairs:  # check every tensor before updating any
@@ -105,10 +100,9 @@ def sgd_step(
         wd = cfg.weight_decay
         if name == "sr.memory" and not cfg.decay_memory:
             wd = 0.0
-        v = state.velocity.get(name)
+        v = velocity.get(name)
         if v is None:
-            v = np.zeros_like(p)
-            state.velocity[name] = v
+            v = velocity[name] = np.zeros_like(p)
         v *= momentum
         v += g
         if wd:
@@ -169,7 +163,7 @@ def train(
 
     rng = make_rng(train_cfg.seed)
     params = host_init(host_cfg, rng)
-    state = SgdState()
+    velocity: dict[str, np.ndarray] = {}
     best = params.copy()
     best_acc = -1.0
     best_epoch = -1
@@ -188,15 +182,14 @@ def train(
                 xb = augment(train_set.x[idx], rng, train_cfg.flip_augment)
                 yb = train_set.y[idx]
                 try:
-                    logits, cache = host_forward(params, xb, "train", rng)
-                    loss, _ = ops.cross_entropy_fwd(logits, yb)
-                    grads = host_backward(params, cache, yb)
+                    _, cache = host_forward(params, xb, "train", rng)
+                    loss, grads = host_backward(params, cache, yb)
                 except NumericError as e:
                     raise NumericError(f"training diverged at epoch {epoch}, batch "
                                        f"{start // train_cfg.batch}: {e}") from e
-                sgd_step(params, grads, state, train_cfg, epoch)
+                sgd_step(params, grads, velocity, train_cfg, lr)
                 losses.append(loss)
-                del logits, cache, grads  # hold one step's intermediates at a time
+                del cache, grads  # hold one step's intermediates at a time
             val_acc = evaluate(params, val_set)
             history.append(EpochStats(epoch, lr, float(np.mean(losses)), val_acc))
             if val_acc > best_acc:

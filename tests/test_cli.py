@@ -173,17 +173,26 @@ class TestTrain:
         assert "(100000000000, 3, 32, 32)" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("missing", [0, 1], ids=["checkpoint", "history"])
+    @pytest.mark.parametrize("bad, is_dir", [(0, False), (1, False), (0, True), (1, True)],
+                             ids=["checkpoint", "history", "checkpoint_is_a_directory",
+                                  "history_is_a_directory"])
     def test_missing_output_directory_exit_3_before_training(
-            self, tmp_path, capsys, monkeypatch, missing):
+            self, tmp_path, capsys, monkeypatch, bad, is_dir):
+        """An output path in no directory, or naming one, ends in exit 3
+        naming it before the data is made: nothing is trained or written."""
         def no_training(*args, **kwargs):
             raise AssertionError("train() ran")
 
         monkeypatch.setattr(training, "train", no_training)
         outs = [tmp_path / "x.srck", tmp_path / "h.csv"]
-        outs[missing] = tmp_path / "nodir" / outs[missing].name
+        if is_dir:
+            outs[bad].mkdir()
+        else:
+            outs[bad] = tmp_path / "nodir" / outs[bad].name
         assert run_cli(["train", write_config(tmp_path, TINY), *map(str, outs)]) == 3
-        assert repr(str(outs[missing])) in capsys.readouterr().err
+        assert repr(str(outs[bad])) in capsys.readouterr().err
+        left = {p.name for p in tmp_path.rglob("*")}
+        assert left == {"cfg.json", *([outs[bad].name] if is_dir else [])}
 
     def test_missing_config_exit_3(self, tmp_path):
         missing = str(tmp_path / "nope.json")
@@ -277,13 +286,14 @@ class TestCorruptCheckpoint:
         (corrupt_metadata(b"\xff\xfe"), "metadata"),
         (corrupt_metadata(b"{not json"), "metadata"),
         (corrupt_metadata(b"[1,2]"), "metadata"),
+        (corrupt_metadata(b"[" * 100_000 + b"]" * 100_000), "metadata"),
         (extra_tensor, "'bogus'"),
         (duplicate_tensor, "'cls.w'"),
         (bad_tensor_name, "tensor name"),
         (overflowing_shape, "truncated"),
         (non_finite("cls.w", lambda t: t.fill(np.inf)), "'cls.w'"),
         (non_finite("stage1.w", lambda t: np.put(t, 5, np.nan)), "'stage1.w'"),
-    ], ids=["no_config", "bad_utf8", "bad_json", "not_an_object", "unknown_tensor",
+    ], ids=["no_config", "bad_utf8", "bad_json", "not_an_object", "too_deep", "unknown_tensor",
             "duplicate_tensor", "bad_tensor_name", "overflowing_shape", "inf_weights",
             "one_nan_weight"])
     def test_eval_exit_2(self, write, named, tiny_artifacts, tmp_path, capsys):
@@ -331,6 +341,14 @@ class TestParams:
         path.write_bytes(b"\xff\xfe{}")
         assert run_cli(["params", str(path)]) == 2
         assert "cfg.json" in capsys.readouterr().err
+
+    def test_config_nested_too_deep_exit_2(self, tmp_path, capsys):
+        """JSON nested past Python's recursion limit is malformed input, not a
+        failed check: exit 2 naming the file, not a RecursionError."""
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run_cli(["params", str(path)]) == 2
+        assert f"malformed JSON in {path}" in capsys.readouterr().err
 
 
 # the gradcheck rows besides micro_host that a sign flip in each ops backward rule fails

@@ -1,6 +1,7 @@
 """Synthetic data generation, augmentation, SGD mechanics, training loop."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from srkit.host import HostConfig, host_init
 from srkit.rng import make_rng
 from srkit.sr_block import SRConfig
 from srkit.train import (
-    SgdState,
     TrainConfig,
     evaluate,
     lr_at,
@@ -140,7 +140,7 @@ class TestSgd:
         params = self._tiny_params()
         before = params.copy()
         cfg = TrainConfig(weight_decay=0.0)
-        sgd_step(params, self._zero_grads(params), SgdState(), cfg, epoch=0)
+        sgd_step(params, self._zero_grads(params), {}, cfg, lr=cfg.lr0)
         for (_, a), (_, b) in zip(params.items(), before.items()):
             assert np.array_equal(a, b)
 
@@ -151,7 +151,7 @@ class TestSgd:
         for _, g in grads.items():
             g[:] = 0.5
         cfg = TrainConfig(lr0=0.1, momentum=0.0, weight_decay=0.0, decay_epochs=())
-        sgd_step(params, grads, SgdState(), cfg, epoch=0)
+        sgd_step(params, grads, {}, cfg, lr=cfg.lr0)
         for (_, a), (_, b) in zip(params.items(), before.items()):
             assert np.allclose(a, b - 0.05, atol=1e-7)
 
@@ -161,14 +161,14 @@ class TestSgd:
         g1 = {n: np.full_like(t, 0.25, dtype=np.float64) for n, t in params.items()}
         g2 = {n: np.full_like(t, -0.5, dtype=np.float64) for n, t in params.items()}
         cfg = TrainConfig(lr0=0.1, momentum=0.9, weight_decay=0.0, decay_epochs=())
-        state = SgdState()
+        velocity = {}
         grads = params.copy()
         for _, g in grads.items():
             g[:] = 0.25
-        sgd_step(params, grads, state, cfg, epoch=0)
+        sgd_step(params, grads, velocity, cfg, lr=cfg.lr0)
         for _, g in grads.items():
             g[:] = -0.5
-        sgd_step(params, grads, state, cfg, epoch=0)
+        sgd_step(params, grads, velocity, cfg, lr=cfg.lr0)
         for name, t in params.items():
             v1 = g1[name]
             p1 = p0[name] - 0.1 * v1
@@ -180,7 +180,7 @@ class TestSgd:
         params = self._tiny_params()
         before = float(sum((t ** 2).sum() for _, t in params.items()))
         cfg = TrainConfig(weight_decay=5e-4, momentum=0.0, decay_epochs=())
-        sgd_step(params, self._zero_grads(params), SgdState(), cfg, epoch=0)
+        sgd_step(params, self._zero_grads(params), {}, cfg, lr=cfg.lr0)
         after = float(sum((t ** 2).sum() for _, t in params.items()))
         assert after < before
 
@@ -195,10 +195,10 @@ class TestSgd:
         for _, g in grads.items():
             g[:] = 0.0
         cfg = TrainConfig(weight_decay=0.1, momentum=0.0, decay_memory=False, decay_epochs=())
-        sgd_step(params, grads, SgdState(), cfg, epoch=0)
+        sgd_step(params, grads, {}, cfg, lr=cfg.lr0)
         assert np.array_equal(params.sr.memory, np.ones_like(params.sr.memory))
         cfg = TrainConfig(weight_decay=0.1, momentum=0.0, decay_memory=True, decay_epochs=())
-        sgd_step(params, grads, SgdState(), cfg, epoch=0)
+        sgd_step(params, grads, {}, cfg, lr=cfg.lr0)
         assert np.all(params.sr.memory < 1.0)
 
     def test_gradients_must_match_parameter_names(self):
@@ -212,14 +212,14 @@ class TestSgd:
         before = params.copy()
         grads = params.copy()
         grads.sr = None
-        state = SgdState()
+        cfg, velocity = TrainConfig(), {}
         with pytest.raises(ConfigError, match="sr.squeeze_w"):
-            sgd_step(params, grads, state, TrainConfig(), epoch=0)
-        assert state.velocity == {}
+            sgd_step(params, grads, velocity, cfg, lr=cfg.lr0)
+        assert velocity == {}
         for (_, a), (_, b) in zip(params.items(), before.items()):
             assert np.array_equal(a, b)
         with pytest.raises(ConfigError, match="sr.squeeze_w"):
-            sgd_step(grads, params.copy(), SgdState(), TrainConfig(), epoch=0)
+            sgd_step(grads, params.copy(), {}, cfg, lr=cfg.lr0)
 
 
 class TestSchedule:
@@ -281,7 +281,6 @@ class TestTrainLoop:
 
     def test_loss_decreases_over_first_steps(self):
         """Mean first-vs-last loss over 3 seeds on one fixed batch."""
-        from srkit import ops
         from srkit.host import host_backward, host_forward
 
         spec = SynthSpec(classes=4, per_class=20, per_class_test=5, h=16, w=16, seed=1)
@@ -291,17 +290,41 @@ class TestTrainLoop:
         for seed in (0, 1, 2):
             params = host_init(SMALL_HOST, make_rng(seed))
             cfg = TrainConfig(lr0=0.05, weight_decay=0.0, decay_epochs=())
-            state = SgdState()
+            velocity = {}
             losses = []
             step_rng = make_rng(seed + 100)
             for _ in range(50):
-                logits, cache = host_forward(params, xb, "train", step_rng)
-                loss, _ = ops.cross_entropy_fwd(logits, yb)
+                _, cache = host_forward(params, xb, "train", step_rng)
+                loss, grads = host_backward(params, cache, yb)
                 losses.append(loss)
-                grads = host_backward(params, cache, yb)
-                sgd_step(params, grads, state, cfg, epoch=0)
+                sgd_step(params, grads, velocity, cfg, lr=cfg.lr0)
             drops.append(losses[0] - losses[-1])
         assert np.mean(drops) > 0.0
+
+    @pytest.mark.parametrize("sr_insert, softmaxes", [(3, 1), (None, 0)])
+    def test_one_softmax_per_step_in_the_sr_gate_only(self, monkeypatch, sr_insert,
+                                                       softmaxes):
+        """A step's loss and gradient come from one cross_entropy_fwd, so
+        softmax_fwd runs only in the SR gate, once per step."""
+        from srkit import ops
+
+        calls, per_step = [], []
+        softmax, forward, step = ops.softmax_fwd, train_mod.host_forward, train_mod.sgd_step
+
+        def traced_forward(params, x, mode="eval", rng=None):
+            calls.clear()
+            return forward(params, x, mode, rng)
+
+        def traced_step(*args):
+            per_step.append(len(calls))
+            step(*args)
+
+        monkeypatch.setattr(ops, "softmax_fwd", lambda z: calls.append(z) or softmax(z))
+        monkeypatch.setattr(train_mod, "host_forward", traced_forward)
+        monkeypatch.setattr(train_mod, "sgd_step", traced_step)
+        train(replace(SMALL_HOST, sr_insert=sr_insert),
+              TrainConfig(epochs=1, batch=64, seed=3), SMALL_SPEC)
+        assert per_step == [softmaxes] * 2
 
     def test_train_holds_one_step_of_intermediates(self, monkeypatch, use_workers):
         """Between steps the loop keeps only its momentum buffers: the memory held

@@ -108,7 +108,8 @@ def test_train_dropout_reproducible_gradients():
         logits, cache = host_forward(params, x, "train", make_rng(777))
         return host_backward(params, cache, labels)
 
-    g1, g2 = run(), run()
+    (l1, g1), (l2, g2) = run(), run()
+    assert l1 == l2
     for (_, a), (_, b) in zip(g1.items(), g2.items()):
         assert np.array_equal(a, b)
 
@@ -120,7 +121,7 @@ def test_confident_logits_give_near_zero_gradients():
     labels = logits.argmax(axis=1)
     params.cls_w *= 200.0  # saturate the cross entropy in the right direction
     _, cache = host_forward(params, x, "train", make_rng(0))
-    grads = host_backward(params, cache, labels)
+    _, grads = host_backward(params, cache, labels)
     total = np.sqrt(sum(float((g ** 2).sum()) for _, g in grads.items()))
     assert total <= 1e-5
 
@@ -145,7 +146,7 @@ def test_stage1_backward_computes_weight_gradient_only(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(ops, name, counted)
     _, cache = host_forward(params, x, "train", make_rng(13))
-    grads = host_backward(params, cache, np.array([0, 1, 1]))
+    _, grads = host_backward(params, cache, np.array([0, 1, 1]))
     assert len(calls["conv3x3_bwd"]) == 3 and len(calls["conv3x3_bwd_weight"]) == 1
     (stage1_args,) = calls["conv3x3_bwd_weight"]
     assert stage1_args[0] is cache.stage_in[0]
@@ -188,7 +189,8 @@ def test_micro_host_full_fd():
         return ops.cross_entropy_fwd(logits, labels)[0]
 
     _, cache = host_forward(params, x, "train", make_rng(55))
-    grads = host_backward(params, cache, labels)
+    returned, grads = host_backward(params, cache, labels)
+    assert returned == loss()
     grad_map = dict(grads.items())
     for name, tensor in params.items():
         fd = fd_gradient(loss, tensor, step=1e-4)

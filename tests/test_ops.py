@@ -528,6 +528,14 @@ class TestSmallPrimitives:
             loss = lambda: ops.cross_entropy_fwd(logits, labels)[0]
             assert max_rel_err(grad, fd_gradient(loss, logits)) < FD_TOL
 
+    def test_cross_entropy_probs_are_softmax_bits(self):
+        """One cross_entropy_fwd serves a step's loss and its gradient: its
+        probabilities are softmax_fwd's, bit for bit."""
+        logits = make_rng(7).normal(0.0, 3.0, (128, 10)).astype(np.float32)
+        _, probs = ops.cross_entropy_fwd(logits, make_rng(8).integers(0, 10, 128))
+        assert probs.dtype == np.float32
+        assert probs.tobytes() == ops.softmax_fwd(logits).tobytes()
+
 
 class TestDropout:
     def test_p_zero_is_identity(self, rng):

@@ -43,15 +43,14 @@ def test_every_traced_name_exists(spans):
 def test_one_training_step_under_the_tracer(spans):
     for short in spans.TRACED:
         srkit_module(short)  # the tracer patches loaded modules only
-    host, ops = srkit_module("host"), srkit_module("ops")
+    host = srkit_module("host")
     cfg = HostConfig(stage_channels=(4, 4, 8, 8), in_h=16, in_w=16, classes=2,
                      sr_insert=3, dropout_kind="channel", dropout_p=0.25)
     params = host.host_init(cfg, make_rng(1))
     x = make_rng(2).uniform(-1, 1, (3, 3, 16, 16)).astype(np.float32)
     tracer = spans.Tracer()
     with tracer.active():
-        logits, cache = host.host_forward(params, x, "train", make_rng(3))
-        ops.cross_entropy_fwd(logits, np.array([0, 1, 1]))
+        _, cache = host.host_forward(params, x, "train", make_rng(3))
         host.host_backward(params, cache, np.array([0, 1, 1]))
     assert host.host_forward.__module__ == "srkit.host"  # originals restored
     names = [row[0] for row in tracer.spans]
@@ -106,8 +105,7 @@ def test_spans_stay_nested_with_conv_workers(spans, use_workers, monkeypatch):
     labels = np.arange(n) % 2
     tracer = spans.Tracer()
     with tracer.active():
-        logits, cache = host.host_forward(params, x, "train", make_rng(3))
-        ops.cross_entropy_fwd(logits, labels)
+        _, cache = host.host_forward(params, x, "train", make_rng(3))
         host.host_backward(params, cache, labels)
     assert any(name.startswith("srkit-conv") for name in threads)
     assert_nested(tracer.spans)
