@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 failed gradient check, 2 configuration problem
 (the message names the offending key or value, or, for a config too large
 to allocate, numpy's message with the shape) or malformed checkpoint
 (the message names the file or tensor), 3 I/O failure (``train`` checks
-that its output directories exist before it loads data), 4 training
-diverged to non-finite values (the message names the epoch and batch).
+its output paths name files in existing directories before loading data),
+4 training diverged to non-finite values (the message names epoch and batch).
 
 The SRKIT_THREADS environment variable sets how many threads, the calling
 thread among them, the 3x3 convolutions, the host's ReLU passes and the SR
