@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 failed gradient check, 2 configuration problem
 (the message names the offending key or value, or, for a config too large
 to allocate, numpy's message with the shape) or malformed checkpoint
-(the message names the file or tensor), 3 I/O failure (``train`` checks
-its output paths name files in existing directories before loading data),
+(the message names the file or tensor), 3 I/O failure (``train`` checks its
+output paths name two files in existing directories before loading data),
 4 training diverged to non-finite values (the message names epoch and batch).
 
 The SRKIT_THREADS environment variable sets how many threads, the calling
@@ -90,6 +90,8 @@ def cmd_train(args) -> int:
     for path in (args.checkpoint, args.history):  # fail before training, not after it
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise OSError(f"output must be a file in an existing directory: {path!r}")
+    if os.path.realpath(args.checkpoint) == os.path.realpath(args.history):
+        raise OSError(f"checkpoint and history are the same file: {args.history!r}")
     splits = synth_generate(run.data)
     result = training.train(run.host, run.train, run.data, splits)
     test_acc = training.evaluate(result.best_params, splits[2])
@@ -113,15 +115,17 @@ def _load_trained(path, dataset_seed):
 
     from .checkpoint import load_checkpoint
     from .config import parse_config
-    from .errors import CheckpointError
+    from .errors import CheckpointError, ConfigError
     from .host import params_from_tensors
 
+    if dataset_seed is not None and not 0 <= dataset_seed < 2**64:
+        raise ConfigError(f"--dataset-seed must be in [0, 2**64), got {dataset_seed}")
     meta, tensors = load_checkpoint(path)
     if not isinstance(meta.get("config"), dict):
         raise CheckpointError(f"{path}: metadata has no 'config' object")
     run = parse_config(meta["config"])
     if dataset_seed is not None:
-        run = replace(run, data=replace(run.data, seed=dataset_seed).validate())
+        run = replace(run, data=replace(run.data, seed=dataset_seed))
     params = params_from_tensors(run.host, tensors)
     return meta, run, params
 
@@ -164,7 +168,7 @@ def cmd_params(args) -> int:
         return EXIT_OK
     count = sr_param_count(sr_cfg)
     print(f"sr_params {count}")
-    if host_cfg.sr_insert is not None:  # parse_config matched sr to the stage
+    if host_cfg.sr_insert is not None:  # HostConfig matched sr to the stage
         print(f"host_params_with_sr {without + count}")
     baseline = args.baseline if args.baseline is not None else without
     pct = sr_overhead(sr_cfg, baseline)

@@ -20,10 +20,10 @@ full document:
                "seed": 0}
     }
 
-``sr.c/h/w`` normally stay null and are derived from the insertion
-stage's output shape; explicit values are honored (and must match the
-stage when the config is used for training). The defaults above are the
-toy run: SR after stage 3 with channel dropout.
+``sr.c/h/w`` normally stay null: ``HostConfig`` derives them from the
+insertion stage's output shape, which explicit values must match. Each
+config object checks itself when built, also by ``dataclasses.replace``.
+The defaults above are the toy run: SR after stage 3 with channel dropout.
 
 Fields and defaults come from the dataclasses themselves; only the toy
 run's departures from them (``_TOY_HOST``) are written down here. Each
@@ -127,25 +127,18 @@ def parse_config(doc: dict) -> RunConfig:
     h = {**_TOY_HOST, **_object(doc.get("host", {}), "host")}
     sr_doc = h.pop("sr", None)
     sr_doc = {} if sr_doc is None else dict(_object(sr_doc, "host.sr"))
-    # A provisional host, validated so that sr_insert names a stage, traces
-    # the stage shapes for the sr.c/h/w defaults.
-    base = _section(HostConfig, h, "host").validate()
-    sr_cfg = None
-    if base.sr_insert is not None or sr_doc:
-        shape = (None,) * 3
-        if base.sr_insert is not None:
-            shape = base.stage_output_shape(base.sr_insert)
-        for k, derived in zip("chw", shape):
+    host = _section(HostConfig, h, "host")  # with the default block at sr_insert
+    if sr_doc:
+        for k in "chw":
             if sr_doc.get(k) is None:
-                _expect(derived is not None, f"host.sr.{k}",
-                        "required when sr_insert is null")
-                sr_doc[k] = derived
-        sr_cfg = _section(SRConfig, sr_doc, "host.sr").validate()
+                _expect(host.sr is not None, f"host.sr.{k}", "required when sr_insert is null")
+                sr_doc[k] = getattr(host.sr, k)
+        host = replace(host, sr=_section(SRConfig, sr_doc, "host.sr"))
 
     return RunConfig(
-        host=replace(base, sr=sr_cfg).validate(),
-        train=_section(TrainConfig, doc.get("train", {}), "train").validate(),
-        data=_section(SynthSpec, doc.get("data", {}), "data").validate(),
+        host=host,
+        train=_section(TrainConfig, doc.get("train", {}), "train"),
+        data=_section(SynthSpec, doc.get("data", {}), "data"),
     )
 
 

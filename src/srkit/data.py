@@ -33,7 +33,7 @@ class SynthSpec:
     noise_sigma: float = 0.25
     seed: int = 0
 
-    def validate(self) -> "SynthSpec":
+    def __post_init__(self) -> None:
         if self.classes < 2:
             raise ConfigError(f"data.classes must be >= 2, got {self.classes}")
         for name in ("per_class", "per_class_test", "channels", "h", "w"):
@@ -43,7 +43,6 @@ class SynthSpec:
             raise ConfigError(f"data.noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"data.seed must be in [0, 2**64), got {self.seed}")
-        return self
 
 
 @dataclass
@@ -83,7 +82,6 @@ def synth_generate(spec: SynthSpec) -> tuple[Dataset, Dataset, Dataset]:
     index i goes to validation when i % 10 == 9). Pixels are clamped to
     [0, 1] and standardized per channel using train-split statistics.
     """
-    spec.validate()
     rng = make_rng(spec.seed)
     train_x, train_y, val_x, val_y, test_x, test_y = [], [], [], [], [], []
     img_shape = (spec.channels, spec.h, spec.w)

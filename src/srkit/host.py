@@ -37,6 +37,10 @@ DROPOUT_KINDS = ("none", "element", "channel")
 
 @dataclass(frozen=True)
 class HostConfig:
+    """Checked when built. With ``sr_insert`` set and no ``sr``, ``sr`` becomes
+    the default block at that stage's output shape, which a given one must
+    match; a ``replace`` moving ``sr_insert`` passes ``sr=None`` to derive it anew."""
+
     stage_channels: tuple[int, int, int, int] = (16, 32, 64, 64)
     in_channels: int = 3
     in_h: int = 32
@@ -47,7 +51,7 @@ class HostConfig:
     dropout_kind: str = "none"
     dropout_p: float = 0.0
 
-    def validate(self) -> "HostConfig":
+    def __post_init__(self) -> None:
         if len(self.stage_channels) != 4 or any(c < 1 for c in self.stage_channels):
             raise ConfigError(
                 f"host.stage_channels must be 4 positive counts, got {self.stage_channels}"
@@ -64,15 +68,14 @@ class HostConfig:
                 raise ConfigError(
                     f"host.sr_insert must be a stage in 1..4, got {self.sr_insert}"
                 )
-            sr = self.resolved_sr()
             c, h, w = self.stage_output_shape(self.sr_insert)
-            if (sr.c, sr.h, sr.w) != (c, h, w):
+            if self.sr is None:  # the block squeezes its stage's output
+                object.__setattr__(self, "sr", SRConfig(c, h, w))
+            if (self.sr.c, self.sr.h, self.sr.w) != (c, h, w):
                 raise ConfigError(
-                    f"host.sr shape ({sr.c},{sr.h},{sr.w}) does not match stage "
+                    f"host.sr shape ({self.sr.c},{self.sr.h},{self.sr.w}) does not match stage "
                     f"{self.sr_insert} output ({c},{h},{w})"
                 )
-            sr.validate()
-        return self
 
     def stage_output_shape(self, stage: int) -> tuple[int, int, int]:
         """(c, h, w) of a 1-based stage's output, tracing the stride schedule."""
@@ -83,18 +86,9 @@ class HostConfig:
         return self.stage_channels[stage - 1], h, w
 
     def resolved_sr(self) -> Optional[SRConfig]:
-        """Concrete SRConfig at the insertion point, or None when disabled.
-
-        A configured ``sr`` must match the producing stage's output shape;
-        when only ``sr_insert`` is given, shape fields are derived and the
-        default hyperparameters (u=8, p=4) apply.
-        """
-        if self.sr_insert is None:
-            return None
-        c, h, w = self.stage_output_shape(self.sr_insert)
-        if self.sr is None:
-            return SRConfig(c=c, h=h, w=w)
-        return self.sr
+        """The block inserted into the host, or None when ``sr_insert`` is
+        None (an ``sr`` without an insertion point is only counted)."""
+        return None if self.sr_insert is None else self.sr
 
 
 @dataclass
@@ -162,7 +156,6 @@ def host_init(
     cfg: HostConfig, rng: np.random.Generator, dtype=np.float32
 ) -> HostParams:
     """Initialize the host; draw order: stage 1..4 convs, classifier, SR."""
-    cfg.validate()
     drawn = [kaiming_uniform(rng, shape, dtype)
              for name, shape in param_shapes(cfg).items() if not name.startswith("sr.")]
     sr_cfg = cfg.resolved_sr()
@@ -286,7 +279,6 @@ def host_backward(
 def params_from_tensors(cfg: HostConfig, tensors: dict[str, np.ndarray]) -> HostParams:
     """Rebuild HostParams from checkpoint tensors named as items() yields;
     a missing, misshapen or unknown tensor raises ConfigError naming it."""
-    cfg.validate()
     shapes = param_shapes(cfg)
     unknown = sorted(set(tensors) - set(shapes))
     if unknown:

@@ -63,7 +63,7 @@ class SRConfig:
     hidden_relu: bool = False
     allow_off_grid: bool = False
 
-    def validate(self) -> "SRConfig":
+    def __post_init__(self) -> None:
         for name in ("c", "h", "w", "u", "p"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"sr.{name} must be >= 1, got {getattr(self, name)}")
@@ -79,7 +79,6 @@ class SRConfig:
                     f"sr.p={self.p} outside the tested range [{lo}, {hi}]; "
                     "set sr.allow_off_grid to override"
                 )
-        return self
 
 
 @dataclass
@@ -137,7 +136,6 @@ def sr_init(cfg: SRConfig, rng: np.random.Generator, dtype=np.float32) -> SRPara
     Memory blocks are exactly zero, which makes the whole block an
     identity. Draw order: squeeze_w, fc1_w, fc2_w (row-major each).
     """
-    cfg.validate()
     bound = math.sqrt(1.0 / cfg.c)
     shapes = sr_shapes(cfg)
     memory = np.zeros(shapes.pop("memory"), dtype=dtype)
@@ -245,7 +243,7 @@ def sr_overhead(cfg: SRConfig, baseline_params: int) -> float:
     """
     if baseline_params <= 0:
         raise ConfigError(f"baseline_params must be > 0, got {baseline_params}")
-    pct = 100.0 * sr_param_count(cfg) / baseline_params
+    pct = 100 * sr_param_count(cfg) / baseline_params  # exact: no int-to-float overflow
     return math.floor(pct * 100.0 + 0.5) / 100.0
 
 

@@ -44,7 +44,7 @@ class TrainConfig:
     decay_memory: bool = True
     seed: int = 0
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self) -> None:
         if self.lr0 <= 0:
             raise ConfigError(f"train.lr0 must be > 0, got {self.lr0}")
         if not 0.0 <= self.momentum < 1.0:
@@ -64,7 +64,6 @@ class TrainConfig:
                               f"got {self.early_stop_patience}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"train.seed must be in [0, 2**64), got {self.seed}")
-        return self
 
     def resolved_decay_epochs(self) -> tuple[int, ...]:
         """Explicit decay epochs, or the scaled 30/60/80% positions."""
@@ -150,7 +149,6 @@ def train(
     fires after ``early_stop_patience`` epochs without improvement
     (disabled when the patience is 0).
     """
-    train_cfg.validate()
     train_set, val_set, _ = splits if splits is not None else synth_generate(spec)
     if len(train_set) == 0 or len(val_set) == 0:  # every VAL_STRIDE-th sample validates
         raise ConfigError(f"empty dataset split: data.per_class={spec.per_class} "

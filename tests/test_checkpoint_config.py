@@ -1,5 +1,6 @@
 """Checkpoint binary format and strict JSON config parsing."""
 
+import dataclasses
 import json
 import os
 import re
@@ -127,9 +128,20 @@ class TestConfig:
             parse_config({"host": {"sr": {"u": 7}}})
 
     def test_sr_disabled(self):
-        run = parse_config({"host": {"sr_insert": None}})
-        assert run.host.sr is None
-        assert run.host.resolved_sr() is None
+        for host in ({"sr_insert": None}, {"sr_insert": None, "sr": {}}):
+            run = parse_config({"host": host})
+            assert run.host.sr is None
+            assert run.host.resolved_sr() is None
+
+    @pytest.mark.parametrize("part, change, key", [
+        (lambda run: run.train, {"lr0": 0}, "train.lr0"),
+        (lambda run: run.data, {"seed": -1}, "data.seed"),
+        (lambda run: run.host, {"dropout_p": 1.0}, "host.dropout_p"),
+        (lambda run: run.host.sr, {"u": 7}, "sr.u"),
+    ], ids=["TrainConfig", "SynthSpec", "HostConfig", "SRConfig"])
+    def test_replace_checks_the_new_value(self, part, change, key):
+        with pytest.raises(ConfigError, match=key):
+            dataclasses.replace(part(parse_config({})), **change)
 
     def test_standalone_sr_for_accounting(self):
         run = parse_config(

@@ -138,10 +138,12 @@ class TestTrain:
           for raw in ["0", "-1", "abc", ""]],
         ("1", "train {bad_seed_cfg} {out} {out}.csv", "train.seed"),
         ("1", "gradcheck --seed -1", "--seed"),
-        ("1", "eval {ck} --dataset-seed -1", "data.seed"),
-        ("1", "inspect {ck} {out} --dataset-seed -1", "data.seed"),
+        ("1", "eval {ck} --dataset-seed -1", "--dataset-seed"),
+        ("1", "inspect {ck} {out} --dataset-seed -1", "--dataset-seed"),
+        ("1", f"eval {{ck}} --dataset-seed {2**64}", "--dataset-seed"),
+        ("1", f"inspect {{ck}} {{out}} --dataset-seed {2**64}", "--dataset-seed"),
     ], ids=["0", "-1", "abc", "", "train_seed", "gradcheck_seed", "eval_seed",
-            "inspect_seed"])
+            "inspect_seed", "eval_seed_2_64", "inspect_seed_2_64"])
     def test_bad_srkit_threads_exit_2(self, tmp_path, capsys, monkeypatch,
                                       tiny_artifacts, threads, argv, named):
         """A bad SRKIT_THREADS, or a seed outside [0, 2**64) given to any
@@ -193,6 +195,22 @@ class TestTrain:
         assert repr(str(outs[bad])) in capsys.readouterr().err
         left = {p.name for p in tmp_path.rglob("*")}
         assert left == {"cfg.json", *([outs[bad].name] if is_dir else [])}
+
+    @pytest.mark.parametrize("via_link", [False, True], ids=["same_path", "via_symlink"])
+    def test_same_output_file_twice_exit_3_before_training(
+            self, tmp_path, capsys, monkeypatch, via_link):
+        """A history path that names the checkpoint's file, directly or through
+        a symlinked directory, ends in exit 3 naming it before the data is made."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("train() ran")
+
+        monkeypatch.setattr(training, "train", no_training)
+        (tmp_path / "link").symlink_to(tmp_path)
+        hist = tmp_path / "link" / "same.out" if via_link else tmp_path / "same.out"
+        argv = ["train", write_config(tmp_path, TINY), str(tmp_path / "same.out"), str(hist)]
+        assert run_cli(argv) == 3
+        assert repr(str(hist)) in capsys.readouterr().err
+        assert {p.name for p in tmp_path.iterdir()} == {"cfg.json", "link"}
 
     def test_missing_config_exit_3(self, tmp_path):
         missing = str(tmp_path / "nope.json")
@@ -335,6 +353,15 @@ class TestParams:
         assert run_cli(["params", cfg, "--baseline", baseline]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "--baseline" in err
+
+    def test_baseline_past_float_range(self, tmp_path, capsys):
+        """The overhead is exact integer division, so a baseline too large
+        for a float gives 0.00 rather than an OverflowError."""
+        cfg = write_config(tmp_path, {"host": {"sr_insert": 3}})
+        baseline = "1" + "0" * 400
+        assert run_cli(["params", cfg, "--baseline", baseline]) == 0
+        out = capsys.readouterr().out
+        assert f"baseline {baseline}\n" in out and "overhead_pct 0.00\n" in out
 
     def test_config_not_utf8_exit_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -85,9 +85,9 @@ class TestSynthData:
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
-            SynthSpec(classes=1).validate()
+            SynthSpec(classes=1)
         with pytest.raises(ConfigError):
-            SynthSpec(noise_sigma=-0.1).validate()
+            SynthSpec(noise_sigma=-0.1)
 
 
 class TestAugment:

@@ -49,14 +49,13 @@ def test_resolved_sr_defaults():
     cfg = HostConfig(sr_insert=3)
     sr = cfg.resolved_sr()
     assert (sr.c, sr.h, sr.w, sr.u, sr.p) == (64, 8, 8, 8, 4)
-    assert HostConfig().resolved_sr() is None
+    assert cfg.sr == SRConfig(c=64, h=8, w=8)  # derived when the host is built
+    assert HostConfig().resolved_sr() is None and HostConfig().sr is None
 
 
 def test_sr_shape_mismatch_rejected():
-    bad = HostConfig(sr_insert=3, sr=SRConfig(c=32, h=8, w=8))
     with pytest.raises(ConfigError, match="does not match stage"):
-        bad.validate()
-
+        HostConfig(sr_insert=3, sr=SRConfig(c=32, h=8, w=8))
 
 def test_init_deterministic_and_sr_presence():
     cfg = HostConfig(sr_insert=3)
@@ -218,11 +217,11 @@ def test_params_from_tensors_roundtrip_and_errors():
 
 def test_invalid_configs_rejected():
     with pytest.raises(ConfigError, match="dropout_kind"):
-        HostConfig(dropout_kind="spatial").validate()
+        HostConfig(dropout_kind="spatial")
     with pytest.raises(ConfigError, match="dropout_p"):
-        HostConfig(dropout_kind="channel", dropout_p=1.0).validate()
+        HostConfig(dropout_kind="channel", dropout_p=1.0)
     with pytest.raises(ConfigError, match="sr_insert"):
-        HostConfig(sr_insert=5).validate()
+        HostConfig(sr_insert=5)
     with pytest.raises(ConfigError, match="mode"):
         params = host_init(MICRO, make_rng(0))
         host_forward(params, np.zeros((1, 3, 4, 4), dtype=np.float32), "predict")

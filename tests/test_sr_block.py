@@ -60,14 +60,14 @@ class TestInit:
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError, match="sr.u"):
-            SRConfig(c=4, h=2, w=2, u=7, p=4).validate()
+            SRConfig(c=4, h=2, w=2, u=7, p=4)
         with pytest.raises(ConfigError, match="sr.p"):
-            SRConfig(c=4, h=2, w=2, u=8, p=1).validate()
+            SRConfig(c=4, h=2, w=2, u=8, p=1)
         with pytest.raises(ConfigError, match="sr.p"):
-            SRConfig(c=4, h=2, w=2, u=8, p=21).validate()
-        SRConfig(c=4, h=2, w=2, u=7, p=1, allow_off_grid=True).validate()
+            SRConfig(c=4, h=2, w=2, u=8, p=21)
+        SRConfig(c=4, h=2, w=2, u=7, p=1, allow_off_grid=True)
         with pytest.raises(ConfigError, match="sr.c"):
-            SRConfig(c=0, h=2, w=2, u=8, p=4).validate()
+            SRConfig(c=0, h=2, w=2, u=8, p=4)
 
 
 class TestForward:
