@@ -57,6 +57,7 @@ def test_sr_shape_mismatch_rejected():
     with pytest.raises(ConfigError, match="does not match stage"):
         HostConfig(sr_insert=3, sr=SRConfig(c=32, h=8, w=8))
 
+
 def test_init_deterministic_and_sr_presence():
     cfg = HostConfig(sr_insert=3)
     a, b = host_init(cfg, make_rng(5)), host_init(cfg, make_rng(5))
