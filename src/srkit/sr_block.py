@@ -22,9 +22,12 @@ the residual adds, the memory and gate gradients and the squeeze's
 in blocks fixed by the shape, with the bits of the unsplit products and
 sums: the recall and the memory gradient split columns (as transposed
 views), the gate gradient only the rows of its gemm.
-The squeeze weight gradient stays one gemv: OpenBLAS's sgemv takes rows
-in groups of 4, so channel blocks not starting at a multiple of 4 changed
-the bits.
+The squeeze weight gradient (``ops.conv1x1_bwd``) is one gemv per sample
+above ``ops._TASK`` input elements, in sample blocks on the pool, the
+vectors added in sample order, so its bits there follow that per-sample
+sum; at or below one task it stays tensordot's one gemv. Channel blocks
+would not do: OpenBLAS's sgemv takes rows in groups of 4, so blocks not
+starting at a multiple of 4 changed the bits.
 """
 
 from __future__ import annotations
@@ -243,8 +246,15 @@ def sr_overhead(cfg: SRConfig, baseline_params: int) -> float:
     """
     if baseline_params <= 0:
         raise ConfigError(f"baseline_params must be > 0, got {baseline_params}")
-    pct = 100 * sr_param_count(cfg) / baseline_params  # exact: no int-to-float overflow
-    return math.floor(pct * 100.0 + 0.5) / 100.0
+    count = sr_param_count(cfg)
+    try:
+        pct = 100 * count / baseline_params  # exact: no int-to-float overflow
+        return math.floor(pct * 100.0 + 0.5) / 100.0
+    except OverflowError:  # the quotient, or its rounding, is past float range
+        raise ConfigError(
+            f"the SR block's parameter count ({len(str(count))} digits) is too large: "
+            f"its overhead over {baseline_params} baseline parameters is past float range"
+        ) from None
 
 
 def sr_ablate(params: SRParams) -> SRParams:

@@ -2,6 +2,7 @@
 
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,24 @@ def test_out_in_missing_directory_exits_2_before_any_run(tmp_path, monkeypatch, 
                          "--seeds", "1", "--out", out])
     assert exc.value.code == 2 and "missing" in capsys.readouterr().err
     assert benchpairs.out_path(str(tmp_path / "BENCH_1.json")).endswith("BENCH_1.json")
+
+
+@pytest.mark.parametrize("workload, spec, named", [
+    ("sr_block_resnet", None, "BENCHMARK.json"),
+    ("sr_block_resnett", {"workloads": [{"name": "sr_block_resnet"}]}, "sr_block_resnett"),
+], ids=["no_benchmark_json", "unlisted_workload"])
+def test_bad_change_checkout_exits_2_before_any_run(tmp_path, monkeypatch, capsys,
+                                                    workload, spec, named):
+    calls = []
+    monkeypatch.setattr(benchpairs, "run_once", lambda *a: calls.append(a))
+    if spec is not None:
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        benchpairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                         "--workloads", workload, "--seeds", "1",
+                         "--out", str(tmp_path / "BENCH_1.json")])
+    assert exc.value.code == 2 and named in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "BENCH_1.json").exists()
 
 
 def test_run_once_records_faults_and_cpu_of_a_stub_checkout(tmp_path):

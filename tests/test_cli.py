@@ -363,6 +363,17 @@ class TestParams:
         out = capsys.readouterr().out
         assert f"baseline {baseline}\n" in out and "overhead_pct 0.00\n" in out
 
+    # 10**309: the quotient is finite and its rounding overflows; 10**311: the
+    # integer division itself is past float range
+    @pytest.mark.parametrize("c", [10**309, 10**311], ids=["rounding", "division"])
+    def test_sr_count_past_float_range_exit_2(self, tmp_path, capsys, c):
+        cfg = write_config(tmp_path, {"host": {"sr_insert": None,
+                                               "sr": {"c": c, "h": 1, "w": 1}}})
+        assert run_cli(["params", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert "overhead_pct" not in out
+        assert "SR block's parameter count" in err and "past float range" in err
+
     def test_config_not_utf8_exit_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_bytes(b"\xff\xfe{}")

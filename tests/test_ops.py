@@ -98,6 +98,18 @@ class TestConv1x1:
         assert np.array_equal(grad_x[:, 0], np.ones((1, 3, 3)))
         assert np.array_equal(grad_x[:, 1], np.zeros((1, 3, 3)))
 
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_bwd_weight_above_one_task_near_float64_tensordot(self, rng, dtype, tol):
+        """More than ops._TASK elements: one gemv per sample, in blocks on the
+        pool, added in sample order; also h*w = 1, gemvs of inner length one."""
+        for shape in [(9, 1024, 14, 14), (20, 60000, 1, 1)]:
+            x = rng.standard_normal(shape).astype(dtype)
+            g = rng.standard_normal((shape[0], 1, *shape[2:])).astype(dtype)
+            _, grad_w = ops.conv1x1_bwd(x, np.ones(shape[1], dtype), g)
+            want = np.tensordot(x.astype(np.float64), g[:, 0].astype(np.float64),
+                                axes=([0, 2, 3], [0, 1, 2]))
+            assert grad_w.dtype == dtype and max_rel_err(grad_w, want) <= tol, shape
+
     def test_bwd_matches_fd(self, rng):
         for _ in range(20):
             x, weight = u(rng, 2, 3, 3, 2), u(rng, 3)

@@ -237,7 +237,8 @@ class TestWorkerPool:
             del out, cache, grads, grad_x
         assert len(pool_submissions) > 0
 
-    @pytest.mark.parametrize("pass_", ["recall", "residual add", "squeeze", "gate gradient"])
+    @pytest.mark.parametrize("pass_", ["recall", "residual add", "squeeze", "gate gradient",
+                                       "squeeze weight gradient"])
     def test_overflow_raises_from_a_worker(self, use_workers, pool_submissions, pass_):
         params, x, g = pool_case(17, WIDE_SHAPE)
         params.memory[:] = 3e38
@@ -251,9 +252,12 @@ class TestWorkerPool:
             params.squeeze_w[:] = 4.0
             x[:] = 3e38
             run = lambda: ops.conv1x1_fwd(x, params.squeeze_w)
-        else:  # g * 3e38 overflows in the sums of the gate's gemm
+        elif pass_ == "gate gradient":  # g * 3e38 overflows in the sums of the gate's gemm
             g[:] = 1.0
             run = lambda: _matmul_rows(g.reshape(17, -1), params.memory.reshape(10, -1).T)
+        else:  # 256 products of 3e38 overflow in every per-sample gemv sum
+            x[:] = 3e38
+            run = lambda: ops.conv1x1_bwd(x, params.squeeze_w, np.ones_like(g[:, :1]))[1]
         use_workers(2)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             run()
@@ -267,7 +271,7 @@ class TestWorkerPool:
         _, cache = sr_forward(params, x)
         sr_backward(params, cache, g)
         # squeeze, recall, residual add; memory gradient, gate (two row blocks),
-        # channel-major copy of x, grad_x scale, residual add
+        # per-sample squeeze weight gradient, grad_x scale, residual add
         assert chunk_calls == [(32, 2), (200704, 32768), (32, 5), (200704, 32768),
                                (32, 16), (32, 5), (32, 5), (32, 5)]
 

@@ -18,9 +18,10 @@ the pairs the change won, the median, min and max of the per-pair ratios
 (``pair_ratios``, above 1 where the change won), and ``claim_holds``: the
 change is better in at least nine of ten pairs and its median beats the
 parent's by more than the parent's quartile spread. Directions come from
-the change's BENCHMARK.json. Standard library only; it reads the checkouts
-and writes only ``--out`` (and perfbench's own ``perfbench/out/`` reports
-inside each checkout).
+the change's BENCHMARK.json, which must list every workload asked for: a
+missing file or an unlisted workload ends in exit 2 before the first run.
+Standard library only; it reads the checkouts and writes only ``--out``
+(and perfbench's own ``perfbench/out/`` reports inside each checkout).
 """
 
 from __future__ import annotations
@@ -165,10 +166,20 @@ def out_path(text: str) -> str:
     return text
 
 
-def directions(checkout: str) -> dict[str, str]:
-    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as f:
-        spec = json.load(f)
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+def load_spec(p: argparse.ArgumentParser, checkout: str, workloads) -> dict:
+    """The change checkout's BENCHMARK.json, checked before any run starts: it
+    must exist and list every workload asked for, or the run ends in exit 2."""
+    path = os.path.join(checkout, "BENCHMARK.json")
+    try:
+        with open(path, encoding="utf-8") as f:
+            spec = json.load(f)
+    except (OSError, ValueError) as e:
+        p.error(f"--change {checkout}: cannot read {path}: {e}")
+    listed = [w["name"] for w in spec["workloads"]]
+    unknown = [w for w in workloads if w not in listed]
+    if unknown:
+        p.error(f"--workloads {' '.join(unknown)}: not in {path} ({', '.join(listed)})")
+    return spec
 
 
 def commit(checkout: str):
@@ -223,7 +234,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     log = lambda msg: print(msg, file=sys.stderr, flush=True)
 
-    dirs, runs = directions(args.change), []
+    spec, runs = load_spec(p, args.change, args.workloads), []
+    dirs = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     commits = {"parent_commit": commit(args.parent), "change_commit": commit(args.change)}
     for trace, seeds in ((0, args.seeds), (1, args.trace_seeds)):
         for rec in run_pairs(args.parent, args.change, args.workloads, seeds,
