@@ -246,14 +246,13 @@ def sr_overhead(cfg: SRConfig, baseline_params: int) -> float:
     """
     if baseline_params <= 0:
         raise ConfigError(f"baseline_params must be > 0, got {baseline_params}")
-    count = sr_param_count(cfg)
     try:
-        pct = 100 * count / baseline_params  # exact: no int-to-float overflow
+        pct = 100 * sr_param_count(cfg) / baseline_params  # exact: no int-to-float overflow
         return math.floor(pct * 100.0 + 0.5) / 100.0
     except OverflowError:  # the quotient, or its rounding, is past float range
         raise ConfigError(
-            f"the SR block's parameter count ({len(str(count))} digits) is too large: "
-            f"its overhead over {baseline_params} baseline parameters is past float range"
+            f"the SR block's parameter count is too large: its overhead over "
+            f"{baseline_params} baseline parameters is past float range"
         ) from None
 
 
