@@ -27,8 +27,8 @@ about ``_TASK`` elements (``_block_size``) in the memory-bound passes (the
 ReLU passes, ``conv1x1_fwd``'s channel sum, ``conv1x1_bwd``'s ``grad_x``;
 in ``sr_block`` the recall, memory and gate gradients and residual adds).
 Two weight gradients call ``_each_chunk`` themselves and add their partials
-in block order: the 3x3 one per chunk, and ``conv1x1_bwd``'s, above one
-task, per sample (one gemv each, no channel-major copy of ``x``).
+in block order: the 3x3 one per chunk, and ``conv1x1_bwd``'s per sample
+(one gemv each, in sample blocks of about ``_TASK`` elements).
 Blocks leave every sum as the unsplit pass has it and follow from the
 shape alone, so the bits do not depend on the pool size; a pass that fits
 in one block runs inline.
@@ -87,29 +87,21 @@ def conv1x1_bwd(
     grad_x[n,ch,i,j]  = weight[ch] * grad_out[n,0,i,j]
     grad_weight[ch]   = sum_{n,i,j} x[n,ch,i,j] * grad_out[n,0,i,j]
 
-    Above one task (x.size > _TASK) grad_weight is one gemv per sample,
-    x[i].reshape(c, h*w) @ grad_out[i].reshape(h*w), in sample blocks on the
-    pool, and the per-sample vectors are added in sample order. At or below
-    one task it is tensordot's one gemv over a channel-major copy of x.
+    grad_weight is one gemv per sample, x[i].reshape(c, h*w) @
+    grad_out[i].reshape(h*w), in sample blocks of about _TASK elements on the
+    pool, and the per-sample vectors are added in sample order: no
+    channel-major copy of x, and bits that follow that per-sample sum.
     """
     n, c, h, w = check_nchw(x)
     check_shape(grad_out.shape, (n, 1, h, w))
-    if x.size > _TASK:
-        xs, gs = x.reshape(n, c, h * w), grad_out.reshape(n, h * w)
-        rows = _block_size(n, c * h * w)
-        blocks = _each_chunk(lambda b: [np.dot(xi, gi) for xi, gi in
-                                        zip(xs[b : b + rows], gs[b : b + rows])], n, rows)
-        per_sample = [v for block in blocks for v in block]
-        grad_w = per_sample[0]
-        for v in per_sample[1:]:  # sample order, whatever the pool size
-            grad_w += v
-    else:
-        xt = np.empty((c, n, h * w), dtype=x.dtype)  # x channel-major, in one block
-        np.copyto(xt.transpose(1, 0, 2), x.reshape(n, c, h * w))
-        # the copy and the one BLAS call of tensordot(x, grad_out[:, 0],
-        # axes=([0, 2, 3], [0, 1, 2])): the default host's SR inputs keep their bits
-        grad_w = np.dot(xt.reshape(c, -1), grad_out.reshape(-1, 1)).reshape(c)
-        del xt  # freed before grad_x is allocated, which can reuse its pages
+    xs, gs = x.reshape(n, c, h * w), grad_out.reshape(n, h * w)
+    rows = _block_size(n, c * h * w)
+    blocks = _each_chunk(lambda b: [np.dot(xi, gi) for xi, gi in
+                                    zip(xs[b : b + rows], gs[b : b + rows])], n, rows)
+    per_sample = [v for block in blocks for v in block]
+    grad_w = per_sample[0]
+    for v in per_sample[1:]:  # sample order, whatever the pool size
+        grad_w += v
 
     grad_x = np.empty((n, c, h * w), dtype=np.result_type(weight, grad_out))
     wc = weight[:, None]  # inner loops of h*w elements, not w
@@ -224,9 +216,11 @@ def _each_chunk(fn, n: int, size: int = _CHUNK) -> list:
     """[fn(b) for b in range(0, n, size)] as a fork-join over worker_count() threads.
 
     The one pool dispatcher, called by _rows_into for a pass that fills a
-    buffer and by _conv3x3_grads for its per-chunk partials; each fn(b)
-    writes only its own slice. The block starts split into at most
-    worker_count() contiguous groups whose sizes differ by at most one, the
+    buffer, and by _conv3x3_grads and conv1x1_bwd for their weight-gradient
+    partials; each fn(b) writes at most its own slice of a buffer and may
+    return a partial, which the caller adds in block order. The block starts
+    split into at most worker_count() contiguous groups whose sizes differ by
+    at most one, the
     larger last, where the ragged last block is. The calling thread runs
     group 0 and each other group is one pool task, run in its own copy of the
     caller's context (np.errstate is per context). Every group has finished

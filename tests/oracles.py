@@ -8,8 +8,6 @@ in float64.
 
 import numpy as np
 
-from srkit.ops import _TASK
-
 
 def fd_gradient(loss_fn, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
     """Central finite differences of a scalar loss w.r.t. every entry of x.
@@ -133,8 +131,8 @@ def sr_block_unsplit(params, x: np.ndarray, grad_out: np.ndarray):
     """SR block forward and backward as whole-array numpy expressions: one
     tensordot, broadcast or sum per formula and no blocks, each in the order
     of operations of the production ops, so float32 results must match
-    sr_forward/sr_backward bit for bit. Above ops._TASK input elements that
-    order makes the squeeze weight gradient a sum of per-sample gemvs.
+    sr_forward/sr_backward bit for bit. That order makes the squeeze weight
+    gradient a sum of per-sample gemvs, added in sample order.
 
     Returns (out, {parameter name: gradient}, grad_x).
     """
@@ -155,12 +153,9 @@ def sr_block_unsplit(params, x: np.ndarray, grad_out: np.ndarray):
     if params.cfg.hidden_relu:
         grad_hidden = grad_hidden * (hidden_pre > 0)
     grad_xbar = (grad_hidden @ params.fc1_w).reshape(xbar.shape)
-    if x.size > _TASK:  # one gemv per sample, added in sample order
-        squeeze_w = x[0].reshape(x.shape[1], -1) @ grad_xbar[0].reshape(-1)
-        for i in range(1, n):
-            squeeze_w = squeeze_w + x[i].reshape(x.shape[1], -1) @ grad_xbar[i].reshape(-1)
-    else:
-        squeeze_w = np.tensordot(x, grad_xbar[:, 0], axes=([0, 2, 3], [0, 1, 2]))
+    squeeze_w = x[0].reshape(x.shape[1], -1) @ grad_xbar[0].reshape(-1)
+    for i in range(1, n):
+        squeeze_w = squeeze_w + x[i].reshape(x.shape[1], -1) @ grad_xbar[i].reshape(-1)
     grads = {
         "squeeze_w": squeeze_w,
         "fc1_w": grad_hidden.T @ xbar_flat,

@@ -115,7 +115,13 @@ def test_out_in_missing_directory_exits_2_before_any_run(tmp_path, monkeypatch, 
 @pytest.mark.parametrize("workload, spec, named", [
     ("sr_block_resnet", None, "BENCHMARK.json"),
     ("sr_block_resnett", {"workloads": [{"name": "sr_block_resnet"}]}, "sr_block_resnett"),
-], ids=["no_benchmark_json", "unlisted_workload"])
+    ("sr_block_resnet", [], "BENCHMARK.json"),
+    ("sr_block_resnet", {"workloads": ["sr_block_resnet"]}, "BENCHMARK.json"),
+    ("sr_block_resnet", {"workloads": [{"name": "sr_block_resnet"}]}, "BENCHMARK.json"),
+    ("sr_block_resnet", {"workloads": [{"name": "sr_block_resnet"}],
+                         "end_to_end": [{"name": "pass_s"}], "per_layer": []}, "BENCHMARK.json"),
+], ids=["no_benchmark_json", "unlisted_workload", "not_an_object", "unnamed_workload",
+        "no_end_to_end", "metric_without_direction"])
 def test_bad_change_checkout_exits_2_before_any_run(tmp_path, monkeypatch, capsys,
                                                     workload, spec, named):
     calls = []

@@ -166,20 +166,25 @@ def out_path(text: str) -> str:
     return text
 
 
-def load_spec(p: argparse.ArgumentParser, checkout: str, workloads) -> dict:
-    """The change checkout's BENCHMARK.json, checked before any run starts: it
-    must exist and list every workload asked for, or the run ends in exit 2."""
+def load_spec(p: argparse.ArgumentParser, checkout: str, workloads) -> dict[str, str]:
+    """The metric directions ({name: better}) of the change checkout's
+    BENCHMARK.json, read before any run starts: the file must exist, list
+    every workload asked for and name its metrics, or the run ends in exit 2."""
     path = os.path.join(checkout, "BENCHMARK.json")
     try:
         with open(path, encoding="utf-8") as f:
             spec = json.load(f)
     except (OSError, ValueError) as e:
         p.error(f"--change {checkout}: cannot read {path}: {e}")
-    listed = [w["name"] for w in spec["workloads"]]
-    unknown = [w for w in workloads if w not in listed]
-    if unknown:
-        p.error(f"--workloads {' '.join(unknown)}: not in {path} ({', '.join(listed)})")
-    return spec
+    try:
+        listed = [w["name"] for w in spec["workloads"]]
+        unknown = [w for w in workloads if w not in listed]
+        if unknown:
+            p.error(f"--workloads {' '.join(unknown)}: not in {path} ({', '.join(listed)})")
+        return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    except (KeyError, TypeError) as e:
+        p.error(f"--change {checkout}: {path} needs workloads, end_to_end and "
+                f"per_layer lists of named entries: {e!r}")
 
 
 def commit(checkout: str):
@@ -234,8 +239,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     log = lambda msg: print(msg, file=sys.stderr, flush=True)
 
-    spec, runs = load_spec(p, args.change, args.workloads), []
-    dirs = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    dirs, runs = load_spec(p, args.change, args.workloads), []
     commits = {"parent_commit": commit(args.parent), "change_commit": commit(args.change)}
     for trace, seeds in ((0, args.seeds), (1, args.trace_seeds)):
         for rec in run_pairs(args.parent, args.change, args.workloads, seeds,
