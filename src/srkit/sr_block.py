@@ -22,12 +22,11 @@ the residual adds, the memory and gate gradients and the squeeze's
 in blocks fixed by the shape, with the bits of the unsplit products and
 sums: the recall and the memory gradient split columns (as transposed
 views), the gate gradient only the rows of its gemm.
-The squeeze weight gradient (``ops.conv1x1_bwd``) is one gemv per sample
-above ``ops._TASK`` input elements, in sample blocks on the pool, the
-vectors added in sample order, so its bits there follow that per-sample
-sum; at or below one task it stays tensordot's one gemv. Channel blocks
-would not do: OpenBLAS's sgemv takes rows in groups of 4, so blocks not
-starting at a multiple of 4 changed the bits.
+The squeeze weight gradient (``ops.conv1x1_bwd``) is one gemv per sample,
+in sample blocks of about ``ops._TASK`` elements on the pool, the vectors
+added in sample order, so its bits follow that per-sample sum. Channel
+blocks would not do: OpenBLAS's sgemv takes rows in groups of 4, so
+blocks not starting at a multiple of 4 changed the bits.
 """
 
 from __future__ import annotations
