@@ -149,6 +149,19 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _print_count(name: str, count: int) -> None:
+    """Print ``name count``; a count past Python's int-to-str digit limit is
+    a ConfigError naming it, not a ValueError traceback."""
+    from .errors import ConfigError
+
+    try:
+        text = str(count)
+    except ValueError:
+        raise ConfigError(f"{name} has more than {sys.get_int_max_str_digits()} digits, "
+                          f"too many to print") from None
+    print(f"{name} {text}")
+
+
 def cmd_params(args) -> int:
     from .config import load_config
     from .errors import ConfigError
@@ -161,18 +174,18 @@ def cmd_params(args) -> int:
     host_cfg = run.host
     sr_cfg = host_cfg.sr
     without = host_param_count(host_cfg)
-    print(f"host_params_no_sr {without}")
+    _print_count("host_params_no_sr", without)
     if sr_cfg is None:
-        print("sr_params 0")
+        _print_count("sr_params", 0)
         print("note: no SR block configured")
         return EXIT_OK
     count = sr_param_count(sr_cfg)
-    print(f"sr_params {count}")
+    _print_count("sr_params", count)
     if host_cfg.sr_insert is not None:  # HostConfig matched sr to the stage
-        print(f"host_params_with_sr {without + count}")
+        _print_count("host_params_with_sr", without + count)
     baseline = args.baseline if args.baseline is not None else without
     pct = sr_overhead(sr_cfg, baseline)
-    print(f"baseline {baseline}")
+    _print_count("baseline", baseline)
     print(f"overhead_pct {pct:.2f}")
     return EXIT_OK
 

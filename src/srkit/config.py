@@ -2,31 +2,18 @@
 
 One document mirrors the host, SR, training, and data settings, every key
 optional with a documented default, and any unknown key rejected by name
-(silent hyperparameter typos are worse than strictness). Shape of the
-full document:
-
-    {
-      "host": {"stage_channels": [16,32,64,64], "in_channels": 3,
-               "in_h": 32, "in_w": 32, "classes": 10,
-               "sr_insert": 3, "dropout_kind": "channel", "dropout_p": 0.1,
-               "sr": {"c": null, "h": null, "w": null, "u": 8, "p": 4,
-                      "hidden_relu": false, "allow_off_grid": false}},
-      "train": {"lr0": 0.1, "momentum": 0.9, "weight_decay": 5e-4,
-                "lr_decay_factor": 0.2, "decay_epochs": null, "epochs": 30,
-                "batch": 128, "early_stop_patience": 10,
-                "flip_augment": true, "decay_memory": true, "seed": 0},
-      "data": {"classes": 10, "per_class": 200, "per_class_test": 50,
-               "channels": 3, "h": 32, "w": 32, "noise_sigma": 0.25,
-               "seed": 0}
-    }
+(silent hyperparameter typos are worse than strictness). Its sections
+``host`` (with ``host.sr``), ``train`` and ``data`` hold the fields of
+``HostConfig`` (``SRConfig``), ``TrainConfig`` and ``SynthSpec``; those
+dataclasses hold the defaults, and README's "Configuration" section shows
+the whole default document.
 
 ``sr.c/h/w`` normally stay null: ``HostConfig`` derives them from the
 insertion stage's output shape, which explicit values must match. Each
 config object checks itself when built, also by ``dataclasses.replace``.
-The defaults above are the toy run: SR after stage 3 with channel dropout.
 
-Fields and defaults come from the dataclasses themselves; only the toy
-run's departures from them (``_TOY_HOST``) are written down here. Each
+Only the toy run's departures from the dataclass defaults (``_TOY_HOST``:
+SR after stage 3 with channel dropout) are written down here. Each
 value is typed from the field's annotation: numbers must be finite JSON
 numbers (a fraction is not an int), booleans JSON ``true``/``false``.
 """

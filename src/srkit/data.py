@@ -78,45 +78,38 @@ def synth_generate(spec: SynthSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Build (train, val, test) splits.
 
     Draw order is fixed: for each class, the training pool's noise first,
-    then the test noise. The pool splits 90/10 train/val by stride (pool
-    index i goes to validation when i % 10 == 9). Pixels are clamped to
-    [0, 1] and standardized per channel using train-split statistics.
+    then the test noise. Every split is class-major: all of class 0's
+    samples in draw order, then class 1's, and so on. The pool splits 90/10
+    train/val by stride (pool index i goes to validation when i % 10 == 9).
+    Pixels are clamped to [0, 1] and standardized per channel using
+    train-split statistics.
     """
     rng = make_rng(spec.seed)
-    train_x, train_y, val_x, val_y, test_x, test_y = [], [], [], [], [], []
     img_shape = (spec.channels, spec.h, spec.w)
-    for k in range(spec.classes):
-        template = class_template(spec, k)
-        pool = template[None] + spec.noise_sigma * rng.standard_normal(
-            (spec.per_class, *img_shape), dtype=np.float32
-        )
-        test = template[None] + spec.noise_sigma * rng.standard_normal(
-            (spec.per_class_test, *img_shape), dtype=np.float32
-        )
-        pool = np.clip(pool, 0.0, 1.0)
-        test = np.clip(test, 0.0, 1.0)
-        idx = np.arange(spec.per_class)
-        val_sel = idx % VAL_STRIDE == VAL_STRIDE - 1
-        train_x.append(pool[~val_sel])
-        val_x.append(pool[val_sel])
-        test_x.append(test)
-        train_y.append(np.full((~val_sel).sum(), k, dtype=np.int64))
-        val_y.append(np.full(val_sel.sum(), k, dtype=np.int64))
-        test_y.append(np.full(spec.per_class_test, k, dtype=np.int64))
+    pool, test = map(np.stack, zip(*[  # (classes, samples, c, h, w) per kind
+        [rng.standard_normal((n, *img_shape), dtype=np.float32)
+         for n in (spec.per_class, spec.per_class_test)]
+        for _ in range(spec.classes)
+    ]))
+    val_sel = np.arange(spec.per_class) % VAL_STRIDE == VAL_STRIDE - 1
+    splits = [pool.compress(~val_sel, axis=1), pool.compress(val_sel, axis=1), test]
+    del pool  # the splits hold copies
+    templates = np.stack([class_template(spec, k) for k in range(spec.classes)])[:, None]
+    for x in splits:  # template + noise_sigma * noise, clamped to [0, 1]
+        x *= spec.noise_sigma
+        x += templates
+        np.clip(x, 0.0, 1.0, out=x)
 
-    tx = np.concatenate(train_x)
-    mean = tx.mean(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
-    std = tx.std(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+    tx = splits[0].reshape(-1, *img_shape)
+    mean = tx.mean(axis=(0, 2, 3), dtype=np.float64, keepdims=True).astype(np.float32)
+    std = tx.std(axis=(0, 2, 3), dtype=np.float64, keepdims=True).astype(np.float32)
     std = np.maximum(std, np.float32(1e-6))
-
-    def norm(a: np.ndarray) -> np.ndarray:
-        return (a - mean[None, :, None, None]) / std[None, :, None, None]
-
-    return (
-        Dataset(norm(tx), np.concatenate(train_y)),
-        Dataset(norm(np.concatenate(val_x)), np.concatenate(val_y)),
-        Dataset(norm(np.concatenate(test_x)), np.concatenate(test_y)),
-    )
+    labels = np.arange(spec.classes, dtype=np.int64)
+    for x in splits:
+        x -= mean
+        x /= std
+    return tuple(Dataset(x.reshape(-1, *img_shape), np.repeat(labels, x.shape[1]))
+                 for x in splits)
 
 
 def augment(batch: np.ndarray, rng: np.random.Generator, flip: bool) -> np.ndarray:

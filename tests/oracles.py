@@ -214,3 +214,47 @@ def resnet18_cifar100_param_count() -> int:
             in_c = out
     total += 512 * 100 + 100
     return total
+
+
+def synth_splits_loops(spec):
+    """``data.synth_generate`` as one loop over classes: per-class slices
+    appended to six lists, concatenated, then standardized with the train
+    statistics. The splits it returns must match the package's byte for byte."""
+    from srkit.data import VAL_STRIDE, Dataset, class_template
+    from srkit.rng import make_rng
+
+    rng = make_rng(spec.seed)
+    train_x, train_y, val_x, val_y, test_x, test_y = [], [], [], [], [], []
+    img_shape = (spec.channels, spec.h, spec.w)
+    for k in range(spec.classes):
+        template = class_template(spec, k)
+        pool = template[None] + spec.noise_sigma * rng.standard_normal(
+            (spec.per_class, *img_shape), dtype=np.float32
+        )
+        test = template[None] + spec.noise_sigma * rng.standard_normal(
+            (spec.per_class_test, *img_shape), dtype=np.float32
+        )
+        pool = np.clip(pool, 0.0, 1.0)
+        test = np.clip(test, 0.0, 1.0)
+        idx = np.arange(spec.per_class)
+        val_sel = idx % VAL_STRIDE == VAL_STRIDE - 1
+        train_x.append(pool[~val_sel])
+        val_x.append(pool[val_sel])
+        test_x.append(test)
+        train_y.append(np.full((~val_sel).sum(), k, dtype=np.int64))
+        val_y.append(np.full(val_sel.sum(), k, dtype=np.int64))
+        test_y.append(np.full(spec.per_class_test, k, dtype=np.int64))
+
+    tx = np.concatenate(train_x)
+    mean = tx.mean(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+    std = tx.std(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+    std = np.maximum(std, np.float32(1e-6))
+
+    def norm(a: np.ndarray) -> np.ndarray:
+        return (a - mean[None, :, None, None]) / std[None, :, None, None]
+
+    return (
+        Dataset(norm(tx), np.concatenate(train_y)),
+        Dataset(norm(np.concatenate(val_x)), np.concatenate(val_y)),
+        Dataset(norm(np.concatenate(test_x)), np.concatenate(test_y)),
+    )

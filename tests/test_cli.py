@@ -374,6 +374,21 @@ class TestParams:
         assert "overhead_pct" not in out
         assert "SR block's parameter count" in err and "past float range" in err
 
+    # counts of more than Python's 4,300 int-to-str digits, from configs whose
+    # every value has fewer: the SR block's p*c*h*w, then the host's linear layer
+    @pytest.mark.parametrize("host, name", [
+        ({"sr_insert": None, "sr": {"c": 10**1500, "h": 10**1500, "w": 10**1500}},
+         "sr_params"),
+        ({"sr_insert": None, "classes": 10**4000, "stage_channels": [1, 1, 1, 10**1000]},
+         "host_params_no_sr"),
+    ], ids=["sr_params", "host_params_no_sr"])
+    def test_count_past_int_str_digits_exit_2(self, tmp_path, capsys, host, name):
+        cfg = write_config(tmp_path, {"host": host})  # json.dumps writes literal integers
+        assert run_cli(["params", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert f"{name} " not in out
+        assert err.startswith(f"error: {name} has more than ")
+
     def test_config_not_utf8_exit_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_bytes(b"\xff\xfe{}")

@@ -21,6 +21,8 @@ from srkit.train import (
     train,
 )
 
+from oracles import synth_splits_loops
+
 SMALL_SPEC = SynthSpec(classes=4, per_class=30, per_class_test=10, h=16, w=16, seed=5)
 SMALL_HOST = HostConfig(
     stage_channels=(8, 8, 8, 8),
@@ -82,6 +84,23 @@ class TestSynthData:
         xt = test_set.x.reshape(len(test_set), -1).astype(np.float64)
         acc = float((np.argmax(xt @ w.T, axis=1) == test_set.y).mean())
         assert acc > 0.6, f"linear probe accuracy {acc:.3f}"
+
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(),
+        SynthSpec(classes=3, per_class=37, per_class_test=3, channels=2, h=5, w=7, seed=9),
+        SynthSpec(per_class=9),
+        SynthSpec(noise_sigma=0),
+        SynthSpec(per_class=1, per_class_test=1),
+    ], ids=["default", "small_odd", "empty_val", "no_noise", "one_sample"])
+    def test_splits_match_per_class_oracle(self, spec):
+        """Every split's images and labels are the per-class loop's, byte for
+        byte, in dtype, shape and C order (empty_val and one_sample have an
+        empty validation split)."""
+        for got, want in zip(synth_generate(spec), synth_splits_loops(spec), strict=True):
+            for a, b in ((got.x, want.x), (got.y, want.y)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.flags.c_contiguous
+                assert a.tobytes() == b.tobytes()
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
