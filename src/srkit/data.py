@@ -86,11 +86,10 @@ def synth_generate(spec: SynthSpec) -> tuple[Dataset, Dataset, Dataset]:
     """
     rng = make_rng(spec.seed)
     img_shape = (spec.channels, spec.h, spec.w)
-    pool, test = map(np.stack, zip(*[  # (classes, samples, c, h, w) per kind
-        [rng.standard_normal((n, *img_shape), dtype=np.float32)
-         for n in (spec.per_class, spec.per_class_test)]
-        for _ in range(spec.classes)
-    ]))
+    draws = [rng.standard_normal((n, *img_shape), dtype=np.float32)
+             for _ in range(spec.classes) for n in (spec.per_class, spec.per_class_test)]
+    pool, test = np.stack(draws[0::2]), np.stack(draws[1::2])  # (classes, samples, c, h, w)
+    del draws
     val_sel = np.arange(spec.per_class) % VAL_STRIDE == VAL_STRIDE - 1
     splits = [pool.compress(~val_sel, axis=1), pool.compress(val_sel, axis=1), test]
     del pool  # the splits hold copies
