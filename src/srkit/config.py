@@ -1,8 +1,8 @@
 """Strict JSON run configuration.
 
 One document mirrors the host, SR, training, and data settings, every key
-optional with a documented default, and any unknown key rejected by name
-(silent hyperparameter typos are worse than strictness). Its sections
+optional with a documented default, and any unknown or repeated key
+rejected by name (silent hyperparameter typos are worse than strictness). Its sections
 ``host`` (with ``host.sr``), ``train`` and ``data`` hold the fields of
 ``HostConfig`` (``SRConfig``), ``TrainConfig`` and ``SynthSpec``; those
 dataclasses hold the defaults, and README's "Configuration" section shows
@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -129,10 +130,20 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct: ``json`` would keep only a
+    repeated key's last value, a silent override."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"repeated key {key!r}")
+    return doc
+
+
 def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
-            doc = json.load(f)
-        except (ValueError, RecursionError) as e:  # also bad UTF-8, too deep, int digits
+            doc = json.load(f, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as e:  # also bad UTF-8, depth, digits, repeats
             raise ConfigError(f"malformed JSON in {path}: {e}") from e
     return parse_config(doc)

@@ -13,7 +13,7 @@ its memory zeroed, from the block's input on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -93,7 +93,8 @@ class HostConfig:
 
 @dataclass
 class HostParams:
-    """Conv stage weights, classifier matrix, and the optional SR block."""
+    """Conv stage weights, classifier matrix, and the optional SR block, each
+    named, ordered and rebuilt by the one table ``param_shapes(cfg)``."""
 
     cfg: HostConfig
     stage_w: list[np.ndarray]
@@ -102,20 +103,11 @@ class HostParams:
 
     def items(self):
         """Named tensors in the fixed update/serialization order."""
-        for i, w in enumerate(self.stage_w):
-            yield f"stage{i + 1}.w", w
-        yield "cls.w", self.cls_w
-        if self.sr is not None:
-            for name, t in self.sr.items():
-                yield f"sr.{name}", t
+        sr = [] if self.sr is None else [t for _, t in self.sr.items()]
+        return zip(param_shapes(self.cfg), [*self.stage_w, self.cls_w, *sr])
 
     def copy(self) -> "HostParams":
-        return HostParams(
-            cfg=self.cfg,
-            stage_w=[w.copy() for w in self.stage_w],
-            cls_w=self.cls_w.copy(),
-            sr=self.sr.copy() if self.sr is not None else None,
-        )
+        return _pack(self.cfg, [t.copy() for _, t in self.items()])
 
 
 @dataclass
@@ -133,7 +125,8 @@ class HostCache:
 
 
 def param_shapes(cfg: HostConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter tensor, in items() order."""
+    """Name -> shape of every parameter tensor, in items() order: the one
+    table that HostParams, ``host_init`` and the checkpoint names follow."""
     chans = (cfg.in_channels,) + tuple(cfg.stage_channels)
     shapes = {f"stage{i}.w": (chans[i], chans[i - 1], 3, 3) for i in range(1, 5)}
     shapes["cls.w"] = (cfg.classes, chans[-1])
@@ -141,6 +134,13 @@ def param_shapes(cfg: HostConfig) -> dict[str, tuple[int, ...]]:
     if sr_cfg is not None:
         shapes.update({f"sr.{k}": shape for k, shape in sr_shapes(sr_cfg).items()})
     return shapes
+
+
+def _pack(cfg: HostConfig, tensors: list[np.ndarray]) -> HostParams:
+    """HostParams over ``tensors``, given in ``param_shapes(cfg)`` order."""
+    cls_w, *sr = tensors[4:]
+    return HostParams(cfg, tensors[:4], cls_w,
+                      SRParams(cfg.resolved_sr(), *sr) if sr else None)
 
 
 def kaiming_uniform(
@@ -155,12 +155,13 @@ def kaiming_uniform(
 def host_init(
     cfg: HostConfig, rng: np.random.Generator, dtype=np.float32
 ) -> HostParams:
-    """Initialize the host; draw order: stage 1..4 convs, classifier, SR."""
+    """Initialize the host in ``param_shapes`` order: stage 1..4 convs and the
+    classifier, Kaiming-uniform, then the SR block from ``sr_init``."""
     drawn = [kaiming_uniform(rng, shape, dtype)
-             for name, shape in param_shapes(cfg).items() if not name.startswith("sr.")]
+             for shape in param_shapes(replace(cfg, sr_insert=None)).values()]
     sr_cfg = cfg.resolved_sr()
-    sr = None if sr_cfg is None else sr_init(sr_cfg, rng, dtype)
-    return HostParams(cfg, drawn[:4], drawn[4], sr)
+    sr = [] if sr_cfg is None else [t for _, t in sr_init(sr_cfg, rng, dtype).items()]
+    return _pack(cfg, drawn + sr)
 
 
 def host_forward(
@@ -283,21 +284,15 @@ def params_from_tensors(cfg: HostConfig, tensors: dict[str, np.ndarray]) -> Host
     unknown = sorted(set(tensors) - set(shapes))
     if unknown:
         raise ConfigError(f"checkpoint has unknown tensor {unknown[0]!r}")
-    t = {}
     for name, expected in shapes.items():
         if name not in tensors:
             raise ConfigError(f"checkpoint is missing tensor {name!r}")
         if tensors[name].shape != expected:
             raise ConfigError(f"checkpoint tensor {name!r} has shape "
                               f"{tensors[name].shape}, expected {expected}")
-        t[name] = tensors[name].copy()
-    sr_cfg = cfg.resolved_sr()
-    sr = None if sr_cfg is None else SRParams(
-        sr_cfg, **{k[3:]: v for k, v in t.items() if k.startswith("sr.")})
-    return HostParams(cfg, [t[f"stage{i}.w"] for i in range(1, 5)], t["cls.w"], sr)
+    return _pack(cfg, [tensors[name].copy() for name in shapes])
 
 
 def host_param_count(cfg: HostConfig) -> int:
     """Scalar parameters of the host without its SR block."""
-    return sum(math.prod(shape) for name, shape in param_shapes(cfg).items()
-               if not name.startswith("sr."))
+    return sum(map(math.prod, param_shapes(replace(cfg, sr_insert=None)).values()))

@@ -100,7 +100,7 @@ class SRParams:
     memory: np.ndarray
 
     def copy(self) -> "SRParams":
-        return SRParams(self.cfg, **{name: t.copy() for name, t in self.items()})
+        return SRParams(self.cfg, *(t.copy() for _, t in self.items()))
 
     def items(self):
         """Named parameter tensors in the fixed update/serialization order."""
@@ -121,7 +121,8 @@ class SRForwardCache:
 
 
 def sr_shapes(cfg: SRConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of each parameter tensor, in items() order."""
+    """Name -> shape of each parameter tensor, in items() order, which is
+    SRParams's field order: the one table of the block's tensors."""
     return {
         "squeeze_w": (cfg.c,),
         "fc1_w": (cfg.u, cfg.h * cfg.w),
@@ -139,10 +140,9 @@ def sr_init(cfg: SRConfig, rng: np.random.Generator, dtype=np.float32) -> SRPara
     identity. Draw order: squeeze_w, fc1_w, fc2_w (row-major each).
     """
     bound = math.sqrt(1.0 / cfg.c)
-    shapes = sr_shapes(cfg)
-    memory = np.zeros(shapes.pop("memory"), dtype=dtype)
-    drawn = {k: rng.uniform(-bound, bound, s).astype(dtype) for k, s in shapes.items()}
-    return SRParams(cfg, memory=memory, **drawn)
+    *drawn, memory = sr_shapes(cfg).values()
+    return SRParams(cfg, *(rng.uniform(-bound, bound, s).astype(dtype) for s in drawn),
+                    np.zeros(memory, dtype=dtype))
 
 
 def sr_forward(params: SRParams, x: np.ndarray) -> tuple[np.ndarray, SRForwardCache]:
@@ -234,8 +234,8 @@ def sr_backward(
 
 
 def sr_param_count(cfg: SRConfig) -> int:
-    """Parameters added by one block: c + h*w*u + u*p + p*c*h*w."""
-    return cfg.c + cfg.h * cfg.w * cfg.u + cfg.u * cfg.p + cfg.p * cfg.c * cfg.h * cfg.w
+    """Parameters added by one block: c + h*w*u + u*p + p*c*h*w, summed over ``sr_shapes``."""
+    return sum(map(math.prod, sr_shapes(cfg).values()))
 
 
 def sr_overhead(cfg: SRConfig, baseline_params: int) -> float:

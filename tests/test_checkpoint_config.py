@@ -176,6 +176,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="malformed JSON"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"host":{"sr_insert":3},"host":{"sr_insert":null}}', "host"),
+        ('{"train":{"epochs":1,"epochs":0}}', "epochs"),
+        ('{"host":{"sr":{"u":8,"u":16}}}', "u"),
+    ], ids=["section", "train_key", "sr_key"])
+    def test_load_config_repeated_key_named(self, tmp_path, text, key):
+        """json keeps a repeated key's last value; the config rejects it."""
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"twice.json: repeated key '{key}'"):
+            load_config(str(path))
+
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{}",  # not UTF-8
         b'{"train":{"epochs":' + b"9" * 5000 + b"}}",  # past int's digit limit

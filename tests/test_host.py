@@ -17,6 +17,7 @@ from srkit.host import (
     host_forward,
     host_init,
     host_param_count,
+    param_shapes,
     params_from_tensors,
 )
 from srkit.rng import make_rng
@@ -197,19 +198,39 @@ def test_micro_host_full_fd():
         assert max_rel_err(grad_map[name], fd) < 1e-3, name
 
 
-def test_param_count_delta_is_sr_count():
-    cfg = HostConfig(sr_insert=3, sr=SRConfig(c=64, h=8, w=8, u=8, p=4))
+PARAM_CONFIGS = {"no_sr": HostConfig(),
+                 **{f"sr_stage{s}": HostConfig(sr_insert=s) for s in range(1, 5)},
+                 "micro": MICRO}
+
+
+def _fresh_copies(src, dst):
+    """Every (name, tensor) of ``dst`` equals ``src``'s under the same name
+    and shares no memory with it."""
+    for (na, a), (nb, b) in zip(src.items(), dst.items(), strict=True):
+        assert na == nb and np.array_equal(a, b) and not np.shares_memory(a, b), na
+
+
+@pytest.mark.parametrize("cfg", PARAM_CONFIGS.values(), ids=PARAM_CONFIGS.keys())
+def test_param_count_delta_is_sr_count(cfg):
     params = host_init(cfg, make_rng(0))
-    assert host_param_count(cfg) + sr_param_count(cfg.sr) == sum(
+    assert [n for n, _ in params.items()] == list(param_shapes(cfg))
+    sr, sr_count = cfg.resolved_sr(), 0
+    if sr is not None:  # the README's formula, kept here as the reference
+        sr_count = sr.c + sr.h * sr.w * sr.u + sr.u * sr.p + sr.p * sr.c * sr.h * sr.w
+        assert sr_param_count(sr) == sr_count
+    assert host_param_count(cfg) + sr_count == sum(
         t.size for _, t in params.items())
 
 
-def test_params_from_tensors_roundtrip_and_errors():
-    cfg = HostConfig(sr_insert=3)
+@pytest.mark.parametrize("cfg", PARAM_CONFIGS.values(), ids=PARAM_CONFIGS.keys())
+def test_params_from_tensors_roundtrip_and_errors(cfg):
     params = host_init(cfg, make_rng(11))
     rebuilt = params_from_tensors(cfg, dict(params.items()))
-    for (_, a), (_, b) in zip(params.items(), rebuilt.items()):
-        assert np.array_equal(a, b)
+    assert [n for n, _ in rebuilt.items()] == list(param_shapes(cfg))
+    _fresh_copies(params, rebuilt)
+    _fresh_copies(params, params.copy())
+    if params.sr is not None:
+        _fresh_copies(params.sr, params.sr.copy())
     tensors = dict(params.items())
     del tensors["cls.w"]
     with pytest.raises(ConfigError, match="cls.w"):
