@@ -2,8 +2,8 @@
 
 One document mirrors the host, SR, training, and data settings, every key
 optional with a documented default, and any unknown or repeated key
-rejected by name (silent hyperparameter typos are worse than strictness). Its sections
-``host`` (with ``host.sr``), ``train`` and ``data`` hold the fields of
+rejected by name (silent hyperparameter typos are worse than strictness).
+Its sections ``host`` (with ``host.sr``), ``train`` and ``data`` hold the fields of
 ``HostConfig`` (``SRConfig``), ``TrainConfig`` and ``SynthSpec``; those
 dataclasses hold the defaults, and README's "Configuration" section shows
 the whole default document.

@@ -102,7 +102,7 @@ class HostParams:
     sr: Optional[SRParams] = None
 
     def items(self):
-        """Named tensors in the fixed update/serialization order."""
+        """Named tensors in ``param_shapes`` order: the update/serialization order."""
         sr = [] if self.sr is None else [t for _, t in self.sr.items()]
         return zip(param_shapes(self.cfg), [*self.stage_w, self.cls_w, *sr])
 
