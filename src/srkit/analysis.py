@@ -23,27 +23,17 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .checkpoint import atomic_write_bytes
 from .data import Dataset
 from .errors import ConfigError
-from .host import HostParams, host_forward, host_forward_from
+from .host import HostParams, host_forward_from
 from .sr_block import SRParams
-from .train import EVAL_BATCH
+from .train import eval_batches
 
 SAMPLE_CAP_PER_CLASS = 50
-
-
-@dataclass
-class ActivationRecord:
-    """Softmax weight vector of one sample at the SR block."""
-
-    sample_id: int
-    class_label: int
-    alpha: np.ndarray
 
 
 @dataclass
@@ -71,49 +61,40 @@ def _require_sr(params: HostParams) -> SRParams:
     return params.sr
 
 
-def _sr_readout(params, data):
-    """(ids, eval-mode host cache) per batch of the analyzed samples.
-
-    The samples are the first ``SAMPLE_CAP_PER_CLASS`` of each class, in
-    ascending id order.
-    """
+def _analyzed_ids(params: HostParams, data: Dataset) -> np.ndarray:
+    """Ids of the analyzed samples: the first ``SAMPLE_CAP_PER_CLASS`` of
+    each class, in ascending id order."""
     _require_sr(params)
-    taken: dict[int, int] = {}
-    ids = []
-    for i in range(len(data)):
-        k = int(data.y[i])
-        if taken.get(k, 0) < SAMPLE_CAP_PER_CLASS:
-            taken[k] = taken.get(k, 0) + 1
-            ids.append(i)
-    for start in range(0, len(ids), EVAL_BATCH):
-        chunk = ids[start : start + EVAL_BATCH]
-        yield chunk, host_forward(params, data.x[chunk], "eval")[1]
+    order = np.argsort(data.y, kind="stable")
+    ranked = data.y[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.searchsorted(ranked, ranked)
+    return np.flatnonzero(rank < SAMPLE_CAP_PER_CLASS)
 
 
-def collect_activations(params: HostParams, data: Dataset) -> list[ActivationRecord]:
-    """One record per analyzed sample, eval mode (dropout off)."""
-    return [
-        ActivationRecord(i, int(data.y[i]), cache.sr_cache.alpha[row].copy())
-        for chunk, cache in _sr_readout(params, data)
-        for row, i in enumerate(chunk)
-    ]
+def collect_activations(params: HostParams, data: Dataset) -> tuple[np.ndarray, ...]:
+    """(ids, labels, alpha) of the analyzed samples, eval mode (dropout off):
+    ascending ids, their labels, and their (n, p) softmax weights at the SR
+    block."""
+    ids = _analyzed_ids(params, data)
+    alpha = [np.empty((0, params.sr.cfg.p), np.float32)]  # no samples: (0, p)
+    alpha += [cache.sr_cache.alpha for _, _, cache in eval_batches(params, data, ids)]
+    return ids, data.y[ids], np.concatenate(alpha)
 
 
-def activation_stats(records: Iterable[ActivationRecord]) -> list[ActivationStats]:
-    """Mean and unbiased std of alpha per class.
+def activation_stats(readout: tuple[np.ndarray, ...]) -> list[ActivationStats]:
+    """Mean and unbiased std of alpha per class, from ``collect_activations``.
 
-    Classes come back sorted by label; a single-record class has zero std
+    Classes come back sorted by label; a single-sample class has zero std
     by convention.
     """
-    buckets: dict[int, list[np.ndarray]] = {}
-    for r in records:
-        buckets.setdefault(r.class_label, []).append(r.alpha)
+    _, labels, alpha = readout
     out = []
-    for label in sorted(buckets):
-        stack = np.stack(buckets[label]).astype(np.float64)
+    for label in np.unique(labels):
+        stack = alpha[labels == label].astype(np.float64)
         mean = stack.mean(axis=0)
         std = np.zeros_like(mean) if len(stack) < 2 else stack.std(axis=0, ddof=1)
-        out.append(ActivationStats(label, mean, std, stack.shape[0]))
+        out.append(ActivationStats(int(label), mean, std, len(stack)))
     return out
 
 
@@ -129,7 +110,7 @@ def feature_delta(params: HostParams, data: Dataset) -> list[DeltaStats]:
     is below 1e-12 get NaN as a not-a-value marker.
     """
     sums: dict[int, list] = {}  # class -> float64 sums of pre, post, |delta|; count
-    for chunk, cache in _sr_readout(params, data):
+    for chunk, _, cache in eval_batches(params, data, _analyzed_ids(params, data)):
         x = cache.sr_cache.x
         maps = (x, cache.sr_out, np.abs(cache.sr_out - x))
         labels = data.y[chunk]
@@ -166,10 +147,8 @@ def ablation_report(
     """
     _require_sr(params)
     full = ablated = 0
-    for start in range(0, len(test_set), EVAL_BATCH):
-        xb = test_set.x[start : start + EVAL_BATCH]
-        yb = test_set.y[start : start + EVAL_BATCH]
-        logits, cache = host_forward(params, xb, "eval")
+    for sel, logits, cache in eval_batches(params, test_set):
+        yb = test_set.y[sel]
         full += int((logits.argmax(axis=1) == yb).sum())
         logits = host_forward_from(params, cache.sr_cache.x, params.cfg.sr_insert)
         ablated += int((logits.argmax(axis=1) == yb).sum())

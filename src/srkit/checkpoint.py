@@ -25,6 +25,7 @@ import math
 import os
 import struct
 import tempfile
+from collections import Counter
 
 import numpy as np
 
@@ -50,6 +51,16 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
 
 def canonical_json(meta: dict) -> str:
     return json.dumps(meta, sort_keys=True, separators=(",", ":"))
+
+
+def unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` for a JSON object whose keys are all distinct:
+    ``json`` would keep only a repeated key's last value, a silent override."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"repeated key {key!r}")
+    return doc
 
 
 def save_checkpoint(path: str, meta: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -91,8 +102,8 @@ class _Reader:
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint; rejects unknown magic or version, metadata that is
-    not a UTF-8 JSON object, duplicate tensor names, and tensors holding NaN
-    or +-inf (a model no training run can have written)."""
+    not a UTF-8 JSON object or repeats a key, duplicate tensor names, and
+    tensors holding NaN or +-inf (a model no training run can have written)."""
     with open(path, "rb") as f:
         r = _Reader(f.read(), path)
     if r.take(4) != MAGIC:
@@ -101,8 +112,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     try:
-        meta = json.loads(r.take(r.u32()).decode("utf-8"))
-    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, too deep, int digits
+        meta = json.loads(r.take(r.u32()).decode("utf-8"), object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, too deep, digits, repeats
         raise CheckpointError(f"{path}: unreadable metadata: {e}") from e
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: metadata is not a JSON object")

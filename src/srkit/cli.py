@@ -117,6 +117,7 @@ def _load_trained(path, dataset_seed):
     from .config import parse_config
     from .errors import CheckpointError, ConfigError
     from .host import params_from_tensors
+    from .train import check_fit
 
     if dataset_seed is not None and not 0 <= dataset_seed < 2**64:
         raise ConfigError(f"--dataset-seed must be in [0, 2**64), got {dataset_seed}")
@@ -126,6 +127,7 @@ def _load_trained(path, dataset_seed):
     run = parse_config(meta["config"])
     if dataset_seed is not None:
         run = replace(run, data=replace(run.data, seed=dataset_seed))
+    check_fit(run.host, run.data)
     params = params_from_tensors(run.host, tensors)
     return meta, run, params
 
@@ -220,12 +222,14 @@ def cmd_inspect(args) -> int:
     )
     from .data import synth_generate
     from .errors import ConfigError
+    from .train import check_fit
 
     meta, run, params = _load_trained(args.checkpoint, args.dataset_seed)
     if params.sr is None:
         raise ConfigError("checkpoint has no SR block; nothing to inspect")
-    os.makedirs(args.outdir, exist_ok=True)
     _, val_set, test_set = synth_generate(run.data)
+    check_fit(run.host, run.data, val_set)
+    os.makedirs(args.outdir, exist_ok=True)
 
     stats = activation_stats(collect_activations(params, val_set))
     write_activations_csv(os.path.join(args.outdir, "activations.csv"), stats)

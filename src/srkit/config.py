@@ -24,10 +24,10 @@ import functools
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
+from .checkpoint import unique_keys
 from .data import SynthSpec
 from .errors import ConfigError
 from .host import HostConfig
@@ -130,20 +130,10 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object whose keys are all distinct: ``json`` would keep only a
-    repeated key's last value, a silent override."""
-    doc = dict(pairs)
-    if len(doc) < len(pairs):
-        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-        raise ValueError(f"repeated key {key!r}")
-    return doc
-
-
 def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
-            doc = json.load(f, object_pairs_hook=_unique_keys)
+            doc = json.load(f, object_pairs_hook=unique_keys)
         except (ValueError, RecursionError) as e:  # also bad UTF-8, depth, digits, repeats
             raise ConfigError(f"malformed JSON in {path}: {e}") from e
     return parse_config(doc)

@@ -125,15 +125,34 @@ class TrainResult:
     best_val_acc: float
 
 
+def eval_batches(params: HostParams, data: Dataset, ids: Optional[np.ndarray] = None):
+    """Eval-mode ``host_forward`` over ``data`` in EVAL_BATCH chunks: every
+    sample in order, as slices (no copy), or the samples ``ids`` names.
+    Yields each chunk's (selection, logits, cache)."""
+    for start in range(0, len(data if ids is None else ids), EVAL_BATCH):
+        sel = slice(start, start + EVAL_BATCH) if ids is None else ids[start : start + EVAL_BATCH]
+        logits, cache = host_forward(params, data.x[sel], "eval")
+        yield sel, logits, cache
+
+
 def evaluate(params: HostParams, data: Dataset) -> float:
-    """Eval-mode classification accuracy on a split, EVAL_BATCH samples a pass."""
-    correct = 0
-    for start in range(0, len(data), EVAL_BATCH):
-        xb = data.x[start : start + EVAL_BATCH]
-        yb = data.y[start : start + EVAL_BATCH]
-        logits, _ = host_forward(params, xb, "eval")
-        correct += int((logits.argmax(axis=1) == yb).sum())
+    """Eval-mode classification accuracy on a split."""
+    correct = sum(int((logits.argmax(axis=1) == data.y[sel]).sum())
+                  for sel, logits, _ in eval_batches(params, data))
     return correct / len(data)
+
+
+def check_fit(host_cfg: HostConfig, spec: SynthSpec, *splits: Dataset) -> None:
+    """ConfigError naming the keys where the data cannot feed the host: an
+    empty split of ``splits``, or an input shape or class count that differs."""
+    if any(len(s) == 0 for s in splits):
+        raise ConfigError(f"empty dataset split: data.per_class={spec.per_class} "
+                          f"must be >= {VAL_STRIDE}")
+    for host_key, data_key in (("classes", "classes"), ("in_channels", "channels"),
+                               ("in_h", "h"), ("in_w", "w")):
+        got, want = getattr(host_cfg, host_key), getattr(spec, data_key)
+        if got != want:
+            raise ConfigError(f"host.{host_key}={got} != data.{data_key}={want}")
 
 
 def train(
@@ -150,14 +169,7 @@ def train(
     (disabled when the patience is 0).
     """
     train_set, val_set, _ = splits if splits is not None else synth_generate(spec)
-    if len(train_set) == 0 or len(val_set) == 0:  # every VAL_STRIDE-th sample validates
-        raise ConfigError(f"empty dataset split: data.per_class={spec.per_class} "
-                          f"must be >= {VAL_STRIDE}")
-    for host_key, data_key in (("classes", "classes"), ("in_channels", "channels"),
-                               ("in_h", "h"), ("in_w", "w")):
-        got, want = getattr(host_cfg, host_key), getattr(spec, data_key)
-        if got != want:
-            raise ConfigError(f"host.{host_key}={got} != data.{data_key}={want}")
+    check_fit(host_cfg, spec, train_set, val_set)
 
     rng = make_rng(train_cfg.seed)
     params = host_init(host_cfg, rng)

@@ -258,3 +258,14 @@ def synth_splits_loops(spec):
         Dataset(norm(np.concatenate(val_x)), np.concatenate(val_y)),
         Dataset(norm(np.concatenate(test_x)), np.concatenate(test_y)),
     )
+
+
+def capped_ids_loops(labels: np.ndarray, cap: int) -> list[int]:
+    """Ids in ascending order, at most ``cap`` per label, the lowest first."""
+    taken: dict[int, int] = {}
+    ids = []
+    for i, k in enumerate(labels.tolist()):
+        if taken.get(k, 0) < cap:
+            taken[k] = taken.get(k, 0) + 1
+            ids.append(i)
+    return ids

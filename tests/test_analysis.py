@@ -20,16 +20,15 @@ from srkit.analysis import (
     write_activations_csv,
     write_delta_csv,
     write_pgm,
-    ActivationRecord,
 )
-from srkit.data import SynthSpec, synth_generate
+from srkit.data import Dataset, SynthSpec, synth_generate
 from srkit.errors import ConfigError, UsageError
 from srkit.host import HostConfig, host_forward, host_forward_from, host_init
 from srkit.rng import make_rng
 from srkit.sr_block import SRConfig, sr_ablate, sr_forward
 from srkit.train import EVAL_BATCH, evaluate
 
-from oracles import channel_mean_loops
+from oracles import capped_ids_loops, channel_mean_loops
 
 SPEC = SynthSpec(classes=3, per_class=20, per_class_test=10, h=16, w=16, seed=8)
 HOST = HostConfig(
@@ -62,23 +61,44 @@ class TestCollect:
         params, (train_set, val_set, _) = untrained
         frozen = params.copy()
         frozen.sr.fc2_w[:] = 0.0
-        records = collect_activations(frozen, val_set)
-        for r in records:
-            assert np.allclose(r.alpha, 0.25, atol=1e-7)
+        _, _, alpha = collect_activations(frozen, val_set)
+        assert alpha.shape == (len(val_set), 4)
+        assert np.allclose(alpha, 0.25, atol=1e-7)
 
     def test_all_classes_covers_dataset(self, untrained):
         params, (_, val_set, _) = untrained
-        records = collect_activations(params, val_set)
-        assert len(records) == len(val_set)
-        assert [r.sample_id for r in records] == sorted(r.sample_id for r in records)
+        ids, labels, alpha = collect_activations(params, val_set)
+        assert ids.tolist() == list(range(len(val_set)))  # ascending, every sample
+        assert np.array_equal(labels, val_set.y)
+        assert len(alpha) == len(val_set)
 
     def test_class_filter_and_cap(self, untrained, monkeypatch):
-        """At most SAMPLE_CAP_PER_CLASS records per class, the lowest ids first."""
+        """At most SAMPLE_CAP_PER_CLASS samples per class, the lowest ids first."""
         params, (_, val_set, _) = untrained
         monkeypatch.setattr(analysis, "SAMPLE_CAP_PER_CLASS", 1)
-        capped = collect_activations(params, val_set)
-        assert [r.sample_id for r in capped] == sorted(
+        ids, labels, alpha = collect_activations(params, val_set)
+        assert ids.tolist() == sorted(
             int(np.flatnonzero(val_set.y == k)[0]) for k in range(SPEC.classes))
+        assert np.array_equal(labels, val_set.y[ids])
+        assert len(alpha) == len(ids)
+
+    @pytest.mark.parametrize("cap", [1, 5])
+    def test_cap_on_interleaved_labels_matches_loop_oracle(self, untrained, monkeypatch, cap):
+        params, (train_set, _, _) = untrained
+        perm = make_rng(11).permutation(len(train_set))
+        shuffled = Dataset(train_set.x[perm], train_set.y[perm])
+        monkeypatch.setattr(analysis, "SAMPLE_CAP_PER_CLASS", cap)
+        ids, labels, alpha = collect_activations(params, shuffled)
+        assert ids.tolist() == capped_ids_loops(shuffled.y, cap)
+        assert np.array_equal(labels, shuffled.y[ids])
+        assert len(alpha) == len(ids) == cap * SPEC.classes
+
+    def test_empty_split_gives_empty_readout(self, untrained):
+        params, (_, val_set, _) = untrained
+        empty = Dataset(val_set.x[:0], val_set.y[:0])
+        ids, labels, alpha = collect_activations(params, empty)
+        assert len(ids) == len(labels) == 0 and alpha.shape == (0, 4)
+        assert activation_stats((ids, labels, alpha)) == []
 
     def test_missing_sr_rejected(self, untrained):
         _, (_, val_set, _) = untrained
@@ -89,17 +109,14 @@ class TestCollect:
 
 class TestStats:
     def test_single_record_zero_std(self):
-        rec = ActivationRecord(0, 2, np.array([0.5, 0.5]))
-        (s,) = activation_stats([rec])
+        (s,) = activation_stats((np.array([0]), np.array([2]), np.array([[0.5, 0.5]])))
+        assert s.class_label == 2
         assert np.array_equal(s.std, np.zeros(2))
         assert s.n_samples == 1
 
     def test_two_record_hand_case(self):
-        recs = [
-            ActivationRecord(0, 0, np.array([1.0, 0.0])),
-            ActivationRecord(1, 0, np.array([0.0, 1.0])),
-        ]
-        (s,) = activation_stats(recs)
+        (s,) = activation_stats(
+            (np.array([0, 1]), np.array([0, 0]), np.array([[1.0, 0.0], [0.0, 1.0]])))
         assert np.allclose(s.mean, [0.5, 0.5])
         assert np.allclose(s.std, np.sqrt(0.5))
 
@@ -209,11 +226,12 @@ def memory_host(stage):
 
 
 def count_calls(monkeypatch, fn):
-    """Count calls of ``fn`` through every srkit module that imported it."""
+    """Record the arguments of every call of ``fn`` through every srkit
+    module that imported it."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -261,11 +279,17 @@ class TestOnePassAblation:
         with pytest.raises(UsageError, match="stage"):
             host_forward_from(memory_host(3), long_test_split.x, stage)
 
-    def test_one_host_forward_per_batch(self, monkeypatch, long_test_split):
+    @pytest.mark.parametrize("readout", [evaluate, ablation_report, collect_activations,
+                                         feature_delta])
+    def test_one_host_forward_per_batch(self, monkeypatch, long_test_split, readout):
+        """Each readout forwards the split once, EVAL_BATCH samples a call (the
+        analysis readouts with the per-class cap above the split's 100)."""
+        monkeypatch.setattr(analysis, "SAMPLE_CAP_PER_CLASS", 100)
         forwards = count_calls(monkeypatch, host_forward)
         ablations = count_calls(monkeypatch, sr_ablate)
-        ablation_report(memory_host(3), long_test_split)
-        assert len(forwards) == -(-len(long_test_split) // EVAL_BATCH) == 2
+        readout(memory_host(3), long_test_split)
+        sizes = [len(args[1]) for args in forwards]
+        assert sizes == [EVAL_BATCH, len(long_test_split) - EVAL_BATCH] == [256, 44]
         assert not ablations
 
 

@@ -296,6 +296,17 @@ def bad_tensor_name(path, good):
     path.write_bytes(Path(good).read_bytes() + struct.pack("<I", 1) + b"\xff")
 
 
+def repeated_config_key(path, good):
+    """The good checkpoint with a second "config" key, the same config with
+    data.seed 7, appended to its metadata object."""
+    raw = Path(good).read_bytes()
+    (n,) = struct.unpack("<I", raw[8:12])
+    config = json.loads(raw[12 : 12 + n])["config"]
+    config["data"]["seed"] = 7
+    meta = raw[12 : 11 + n] + b',"config":' + json.dumps(config).encode() + b"}"
+    path.write_bytes(raw[:8] + struct.pack("<I", len(meta)) + meta + raw[12 + n :])
+
+
 class TestCorruptCheckpoint:
     """A bad checkpoint ends in exit 2 with a message naming what is wrong."""
 
@@ -311,9 +322,10 @@ class TestCorruptCheckpoint:
         (overflowing_shape, "truncated"),
         (non_finite("cls.w", lambda t: t.fill(np.inf)), "'cls.w'"),
         (non_finite("stage1.w", lambda t: np.put(t, 5, np.nan)), "'stage1.w'"),
+        (repeated_config_key, "repeated key 'config'"),
     ], ids=["no_config", "bad_utf8", "bad_json", "not_an_object", "too_deep", "unknown_tensor",
             "duplicate_tensor", "bad_tensor_name", "overflowing_shape", "inf_weights",
-            "one_nan_weight"])
+            "one_nan_weight", "repeated_key"])
     def test_eval_exit_2(self, write, named, tiny_artifacts, tmp_path, capsys):
         _, _, good, _ = tiny_artifacts
         bad = tmp_path / "bad.srck"
@@ -323,6 +335,46 @@ class TestCorruptCheckpoint:
         assert named in err
         if named != "'bogus'":  # params_from_tensors sees tensors, not the file
             assert str(bad) in err
+
+
+def with_data(good, path, **data):
+    """A copy of checkpoint ``good`` whose metadata config has ``data`` keys
+    replaced; the tensors stay as they are."""
+    meta, tensors = load_checkpoint(good)
+    meta["config"]["data"].update(data)
+    save_checkpoint(str(path), meta, tensors)
+    return str(path)
+
+
+class TestCheckpointDataFit:
+    """eval and inspect check the checkpoint's host against its data section
+    as train does, through the same check."""
+
+    @pytest.fixture(scope="class")
+    def ten_class(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("fit")
+        doc = {"data": {**TINY["data"], "classes": 10, "per_class": 10, "per_class_test": 2},
+               "host": {**TINY["host"], "classes": 10}, "train": {"epochs": 0}}
+        ck = str(tmp / "ten.srck")
+        assert run_cli(["train", write_config(tmp, doc), ck, str(tmp / "h.csv")]) == 0
+        return ck
+
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_class_count_disagrees_exit_2(self, ten_class, tmp_path, capsys, command):
+        bad = with_data(ten_class, tmp_path / "bad.srck", classes=12)
+        outdir = tmp_path / "report"
+        argv = [command, bad] + ([str(outdir)] if command == "inspect" else [])
+        assert run_cli(argv) == 2
+        assert "host.classes=10 != data.classes=12" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_inspect_empty_validation_split_exit_2(self, ten_class, tmp_path, capsys):
+        bad = with_data(ten_class, tmp_path / "bad.srck", per_class=5)
+        outdir = tmp_path / "report"
+        assert run_cli(["inspect", bad, str(outdir)]) == 2
+        assert "data.per_class=5 must be >= 10" in capsys.readouterr().err
+        assert not outdir.exists()
+        assert run_cli(["eval", bad]) == 0  # the test split is not empty
 
 
 class TestParams:
